@@ -36,9 +36,20 @@ def parse_angle(token) -> Angle:
 
     Numeric input passes through as plain radians.  Rational-pi forms keep the
     exact fraction so callers can do period arithmetic without float error.
+    Zero denominators, overflow, infinities and NaN raise ValueError.
     """
     if isinstance(token, Angle):
         return token
+    try:
+        angle = _parse(token)
+    except (ZeroDivisionError, OverflowError):
+        angle = None
+    if angle is None or not math.isfinite(angle.radians):
+        raise ValueError(f"angle {token!r:.40} is not a finite number")
+    return angle
+
+
+def _parse(token) -> Angle:
     if isinstance(token, (int, float)):
         return Angle(float(token), None)
     text = str(token).strip().lower()

@@ -20,7 +20,6 @@ searches over.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -34,6 +33,8 @@ CP_TOL = 1e-10
 TP_TOL = 1e-10
 CHOI_CLOSE_TOL = 1e-10
 SPREAD_FLAG_TOL = 1e-4
+# Largest gate a spec may describe: a 4-qubit Choi matrix is 256 x 256.
+MAX_SPEC_QUBITS = 4
 
 
 class Channel:
@@ -244,7 +245,7 @@ _GATE_BUILDERS = {
     ),
     "phase": lambda params: phase_gate(_angle(params["alpha"])),
     "cnot": lambda params: cnot(_angle(params.get("phi", 0.0))),
-    "measurement": lambda params: measurement(int(params.get("n", 1))),
+    "measurement": lambda params: measurement(_spec_qubits(params.get("n", 1))),
     "transpose": lambda params: transpose_map(),
 }
 
@@ -253,7 +254,17 @@ def _angle(token) -> float:
     return parse_angle(token).radians
 
 
-def standard_gate(label: str, **params) -> Channel:
+def _spec_qubits(value) -> int:
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"qubit count must be an integer, got {value!r}") from None
+    if not 1 <= n <= MAX_SPEC_QUBITS:
+        raise ValueError(f"qubit count must lie in [1, {MAX_SPEC_QUBITS}], got {n}")
+    return n
+
+
+def standard_gate(label: str, /, **params) -> Channel:
     builder = _GATE_BUILDERS.get(label)
     if builder is None:
         raise ValueError(f"unknown gate label {label!r}")
@@ -280,7 +291,12 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        s = float(self.strength)
+        try:
+            s = float(self.strength)
+        except (TypeError, OverflowError):
+            raise ValueError(
+                f"noise strength must be a finite real number, got {self.strength!r:.40}"
+            ) from None
         if not math.isfinite(s) or s < 0.0:
             raise ValueError(f"noise strength must be finite and >= 0, got {s}")
         if self.kind in ("depolarize", "amplitude_damp") and s > 1.0:
@@ -377,29 +393,37 @@ def _trace_norm_batch(m: np.ndarray) -> np.ndarray:
         raise NumericsError("SVD did not converge inside the norm optimiser") from exc
 
 
-def _ascent(delta4: np.ndarray, u, v, max_iter: int, tol: float):
+def _images(delta: np.ndarray, u, v) -> np.ndarray:
+    """Delta(u_b v_b*) for every row pair, through the transfer matrix."""
+    b, d = u.shape
+    outer = (u[:, :, None] * v.conj()[:, None, :]).reshape(b, d * d)
+    return (outer @ delta.T).reshape(b, d, d)
+
+
+def _ascent(delta: np.ndarray, u, v, max_iter: int, tol: float):
     """Monotone alternating maximisation of ||Delta(u v*)||_1.
 
     Alternates the exact solutions of the three partial problems: the dual
     unitary W (polar factor of the image), then the left and right vectors
     (each a normalised linear functional).  Every step is closed-form, so the
-    objective value never decreases between iterations.
+    objective value never decreases between iterations.  All contractions are
+    matrix products with the transfer matrix ``delta`` of Delta.
     """
-    vals = np.zeros(u.shape[0])
+    b, d = u.shape
+    vals = np.zeros(b)
     for _ in range(max_iter):
-        m = np.einsum("klij,bi,bj->bkl", delta4, u, v.conj(), optimize=True)
         try:
-            uu, sing, vh = np.linalg.svd(m)
+            uu, sing, vh = np.linalg.svd(_images(delta, u, v))
         except np.linalg.LinAlgError as exc:
             raise NumericsError("SVD did not converge inside the norm optimiser") from exc
         new_vals = sing.sum(axis=-1)
         w = uu @ vh
-        d = np.einsum("bkl,klij->bij", w.conj(), delta4, optimize=True)
-        c = np.einsum("bij,bj->bi", d, v.conj())
+        dd = (w.conj().reshape(b, d * d) @ delta).reshape(b, d, d)
+        c = (dd @ v.conj()[:, :, None])[:, :, 0]
         cn = np.linalg.norm(c, axis=1)
         ok = cn > 1e-30
         u = np.where(ok[:, None], c.conj() / np.where(ok, cn, 1.0)[:, None], u)
-        e = np.einsum("bi,bij->bj", u, d)
+        e = (u[:, None, :] @ dd)[:, 0, :]
         en = np.linalg.norm(e, axis=1)
         ok = en > 1e-30
         v = np.where(ok[:, None], e / np.where(ok, en, 1.0)[:, None], v)
@@ -407,8 +431,7 @@ def _ascent(delta4: np.ndarray, u, v, max_iter: int, tol: float):
             vals = new_vals
             break
         vals = new_vals
-    m = np.einsum("klij,bi,bj->bkl", delta4, u, v.conj(), optimize=True)
-    return _trace_norm_batch(m), u, v
+    return _trace_norm_batch(_images(delta, u, v)), u, v
 
 
 def sup_norm_report(
@@ -433,9 +456,8 @@ def sup_norm_report(
     delta = g.transfer if h is None else g.transfer - h.transfer
     if np.abs(delta).max() < 1e-14:
         return SupNormResult(0.0, 0.0, True)
-    delta4 = delta.reshape(d, d, d, d)
     u0, v0 = _ascent_starts(d, starts, seed)
-    vals, u, v = _ascent(delta4, u0, v0, max_iter, tol)
+    vals, u, v = _ascent(delta, u0, v0, max_iter, tol)
     best = int(np.argmax(vals))
     value = float(vals[best])
     spread = float(value - np.quantile(vals, 0.9))
@@ -483,9 +505,17 @@ def rank_one_sample_max(
 # JSON gate specs
 
 def _complex_matrix(entries) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
+    side = 2**MAX_SPEC_QUBITS
+    if not isinstance(entries, (list, tuple, np.ndarray)) or len(entries) > side:
+        raise ValueError(f"a matrix must be a list of at most {side} rows")
+    try:
+        arr = np.asarray(entries, dtype=float)
+    except TypeError:
+        raise ValueError("matrix entries must be [re, im] pairs of numbers") from None
     if arr.ndim != 3 or arr.shape[-1] != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix entries must be a square grid of [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -494,17 +524,28 @@ def gate_from_spec(spec: dict) -> Channel:
 
     Shape: {"kind": ..., "params": {...}, "noise": [{"kind": ..., "strength": ...}]}.
     Angle parameters accept numbers (radians) or tokens like "pi" and "2/3pi".
+    Gates act on at most MAX_SPEC_QUBITS qubits, checked before any array is
+    built.  Every malformed spec raises ValueError (or KeyError for a missing
+    parameter).
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("gate spec must be an object with a 'kind' field")
+    if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
+        raise ValueError("gate spec must be an object with a string 'kind' field")
     kind = spec["kind"]
     params = spec.get("params") or {}
+    if not isinstance(params, dict):
+        raise ValueError("gate spec 'params' must be an object")
+    noise = spec.get("noise") or []
+    if not isinstance(noise, list) or not all(isinstance(e, dict) for e in noise):
+        raise ValueError("gate spec 'noise' must be a list of objects")
     if kind == "unitary":
         gate = from_unitary(_complex_matrix(params["matrix"]))
     elif kind == "kraus":
-        gate = from_kraus([_complex_matrix(m) for m in params["operators"]])
+        ops = params["operators"]
+        if not isinstance(ops, list):
+            raise ValueError("kraus 'operators' must be a list of matrices")
+        gate = from_kraus([_complex_matrix(m) for m in ops])
     else:
         gate = standard_gate(kind, **params)
-    for entry in spec.get("noise") or []:
-        gate = apply_noise(gate, NoiseModel(entry["kind"], float(entry["strength"])))
+    for entry in noise:
+        gate = apply_noise(gate, NoiseModel(entry["kind"], entry["strength"]))
     return gate

@@ -19,6 +19,11 @@ import numpy as np
 
 from .equations import ExperimentalEquation, probability_term
 
+# Uniforms drawn per block in estimate(): bounds its memory at about 0.6 MB
+# whatever the sample count.  Blocks of PCG64 draws continue one stream, so
+# the estimate is the same as from a single draw of all samples.
+ESTIMATE_CHUNK = 2**16
+
 
 def _equation_key(eq: ExperimentalEquation) -> int:
     payload = json.dumps(eq.to_dict(), sort_keys=True).encode()
@@ -73,6 +78,10 @@ class Oracle:
             raise ValueError(f"samples must be >= 1, got {samples}")
         key = _equation_key(eq)
         p = self._prob(eq, key)
-        draws = self._stream(key).random(samples)
+        stream = self._stream(key)
+        hits = 0
+        for start in range(0, samples, ESTIMATE_CHUNK):
+            draws = stream.random(min(ESTIMATE_CHUNK, samples - start))
+            hits += int(np.count_nonzero(draws < p))
         self.query_count += samples
-        return float(np.count_nonzero(draws < p)) / samples
+        return float(hits) / samples

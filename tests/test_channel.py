@@ -35,6 +35,7 @@ from gateselftest import (
     zeta_states,
 )
 from gateselftest.bloch import affine_of_channel
+from gateselftest.channel import MAX_SPEC_QUBITS
 
 from helpers import (
     choi_of_kraus,
@@ -447,6 +448,28 @@ def test_two_qubit_sup_norm():
     assert sup_norm_distance(cnot(0.0), cnot(0.0)) == 0.0
 
 
+def test_two_qubit_maximiser_reproduces_value():
+    # pins the 4x4 kernel layout: the reported (u, v) must attain the value
+    # when evaluated through the channels' own action
+    rng = np.random.default_rng(36)
+    for _ in range(3):
+        g, h = random_cptp(rng, n=2), random_cptp(rng, n=2)
+        report = sup_norm_report(g, h)
+        x = np.outer(report.u, report.v.conj())
+        image = g.apply_matrix(x) - h.apply_matrix(x)
+        value = np.linalg.svd(image, compute_uv=False).sum()
+        assert abs(value - report.value) <= 1e-12
+
+
+def test_two_qubit_sup_norm_beats_independent_sampling():
+    rng = np.random.default_rng(37)
+    for _ in range(3):
+        g, h = random_cptp(rng, n=2), random_cptp(rng, n=2)
+        optimised = sup_norm_distance(g, h)
+        sampled = rank_one_sample_max(g, h, samples=20000, seed=rng.integers(1 << 31))
+        assert optimised >= sampled - 1e-6
+
+
 # ---------------------------------------------------------------------------
 # six-state rigidity (exact version)
 
@@ -470,6 +493,12 @@ def test_six_axis_states_control_distance_to_identity():
 def test_gate_from_spec_standard():
     g = gate_from_spec({"kind": "hadamard", "params": {"phi": "pi/2"}})
     assert g.is_close(hadamard(math.pi / 2.0))
+
+
+def test_gate_from_spec_param_named_label():
+    # a parameter named like standard_gate's own argument is still a parameter
+    g = gate_from_spec({"kind": "hadamard", "params": {"phi": 0.3, "label": "x"}})
+    assert g.is_close(hadamard(0.3))
 
 
 def test_gate_from_spec_unitary_matrix():
@@ -503,3 +532,20 @@ def test_gate_from_spec_errors():
         gate_from_spec({"kind": "unitary", "params": {"matrix": [[1.0, 0.0]]}})
     with pytest.raises(ValueError):
         gate_from_spec("hadamard")
+
+
+def test_gate_from_spec_caps_qubit_count():
+    # each spec is one qubit over the cap; the check runs before any
+    # Choi matrix is built
+    over = MAX_SPEC_QUBITS + 1
+    side = 2**over
+    eye = [[[1.0 if i == j else 0.0, 0.0] for j in range(side)] for i in range(side)]
+    specs = [
+        {"kind": "measurement", "params": {"n": over}},
+        {"kind": "unitary", "params": {"matrix": eye}},
+        {"kind": "kraus", "params": {"operators": [eye]}},
+    ]
+    for spec in specs:
+        with pytest.raises(ValueError):
+            gate_from_spec(spec)
+    assert gate_from_spec({"kind": "measurement", "params": {"n": 2}}).n == 2

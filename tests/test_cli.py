@@ -350,6 +350,46 @@ def test_selftest_arity_mismatch(capsys, gate_file):
     assert code == EXIT_USAGE
 
 
+MALFORMED_INPUTS = {
+    "noise-list-of-int": ({"kind": "hadamard", "noise": [5]}, None),
+    "noise-int": ({"kind": "hadamard", "noise": 5}, None),
+    "noise-entry-str": ({"kind": "hadamard", "noise": ["depolarize"]}, None),
+    "params-int": ({"kind": "hadamard", "params": 5}, None),
+    "strength-null": (
+        {"kind": "hadamard", "noise": [{"kind": "depolarize", "strength": None}]},
+        None,
+    ),
+    "operators-int": ({"kind": "kraus", "params": {"operators": 5}}, None),
+    "matrix-object": ({"kind": "unitary", "params": {"matrix": {"a": 1}}}, None),
+    "matrix-null-entry": (
+        {"kind": "unitary", "params": {"matrix": [[[1, 0], [None, 0]], [[0, 0], [1, 0]]]}},
+        None,
+    ),
+    "kind-list": ({"kind": [1]}, None),
+    "qubits-null": ({"kind": "measurement", "params": {"n": None}}, None),
+    "qubits-negative": ({"kind": "measurement", "params": {"n": -1}}, None),
+    "spec-angle-zero-den": ({"kind": "hadamard", "params": {"phi": "1/0pi"}}, None),
+    "spec-angle-pi-over-zero": ({"kind": "hadamard", "params": {"phi": "pi/0"}}, None),
+    "spec-angle-inf": ({"kind": "hadamard", "params": {"phi": "inf"}}, None),
+    "alpha-zero-den": (None, "1/0pi"),
+    "alpha-pi-over-zero": (None, "pi/0"),
+}
+
+
+@pytest.mark.parametrize(
+    "spec, alpha", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys()
+)
+def test_malformed_input_is_usage_error(capsys, gate_file, spec, alpha):
+    if spec is None:
+        argv = ["equations", "--family", "h-phase", "--alpha", alpha]
+    else:
+        argv = ["check", "--family", "hadamard", "--gate", gate_file("bad.json", spec)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0

@@ -13,6 +13,7 @@ from gateselftest import (
     not_gate,
     transpose_map,
 )
+from gateselftest import oracle as oracle_module
 
 HSET = family_equations(hadamard_family())
 EQ_HALF = HSET.equations[0]  # single application, probability 1/2
@@ -93,6 +94,18 @@ def test_estimate_equals_averaged_queries():
     bits = [a.query(EQ_HALF) for _ in range(200)]
     b = Oracle(hadamard(0.0), seed=8)
     assert b.estimate(EQ_HALF, 200) == pytest.approx(sum(bits) / 200.0, abs=1e-15)
+
+
+def test_chunked_estimate_matches_one_shot_draw(monkeypatch):
+    samples = 2 * oracle_module.ESTIMATE_CHUNK + 123
+    chunked = Oracle(hadamard(0.0), seed=12)
+    p_chunked = chunked.estimate(EQ_HALF, samples)
+    monkeypatch.setattr(oracle_module, "ESTIMATE_CHUNK", samples)
+    one_shot = Oracle(hadamard(0.0), seed=12)
+    assert one_shot.estimate(EQ_HALF, samples) == p_chunked
+    # both streams continue from the same position
+    bits = [chunked.query(EQ_HALF) for _ in range(64)]
+    assert bits == [one_shot.query(EQ_HALF) for _ in range(64)]
 
 
 def test_estimate_concentrates_on_true_probability():
