@@ -13,11 +13,9 @@ from .bloch import BlochAffine, affine_of_channel, from_bloch, rotation_unitary,
 from .channel import (
     Channel,
     NoiseModel,
-    apply,
     apply_noise,
     cnot,
     compose,
-    from_choi,
     from_kraus,
     from_unitary,
     gate_from_spec,
@@ -40,7 +38,6 @@ from .equations import (
     EquationSet,
     ExperimentalEquation,
     Step,
-    family_equations,
     max_violation,
     n_alpha,
     probability_term,
@@ -51,6 +48,7 @@ from .families import (
     FamilyFit,
     HADAMARD_ROBUSTNESS_COEFF,
     dist_to_family,
+    family_equations,
     h_cnot_family,
     h_not_family,
     h_phase_family,
@@ -68,11 +66,8 @@ from .qstate import (
     measure_prob,
     random_density_matrix,
     rho_of,
-    set_validation,
     tensor,
     trace_norm,
-    validation,
-    validation_enabled,
     zeta,
     zeta_states,
 )

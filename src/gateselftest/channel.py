@@ -20,6 +20,7 @@ searches over.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .angles import parse_angle
 from .bloch import rotation_unitary
-from .qstate import DensityMatrix, NumericsError, validation_enabled
+from .qstate import DensityMatrix, NumericsError
 
 CP_TOL = 1e-10
 TP_TOL = 1e-10
@@ -95,8 +96,7 @@ class Channel:
         if rho.n != self.n:
             raise ValueError(f"state has {rho.n} qubits, channel has {self.n}")
         out = self.apply_matrix(rho.matrix)
-        validate = validation_enabled() and self.is_cp and self.is_tp
-        return DensityMatrix(out, validate=validate)
+        return DensityMatrix(out, validate=self.is_cp and self.is_tp)
 
     def is_close(self, other: "Channel", tol: float = CHOI_CLOSE_TOL) -> bool:
         """Channel equality: maximum Choi-entry deviation within tolerance."""
@@ -115,11 +115,6 @@ def _channel_from_transfer(transfer: np.ndarray, axis=None) -> Channel:
     return Channel(choi, axis=axis)
 
 
-def from_choi(choi, *, axis=None) -> Channel:
-    """Wrap a raw Choi matrix (the caller vouches for its meaning)."""
-    return Channel(choi, axis=axis)
-
-
 def identity(n: int = 1) -> Channel:
     d = 2**n
     vec = np.eye(d, dtype=complex).T.reshape(-1)
@@ -129,6 +124,8 @@ def identity(n: int = 1) -> Channel:
 def from_unitary(u, *, axis=None) -> Channel:
     """Conjugation channel rho -> U rho U^dagger; global phases drop out."""
     arr = np.asarray(u, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise ValueError("unitary entries must be finite")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"unitary must be square, got shape {arr.shape}")
     defect = np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])).max()
@@ -141,6 +138,8 @@ def from_unitary(u, *, axis=None) -> Channel:
 def from_kraus(ops) -> Channel:
     """Channel sum_K K rho K^dagger from a trace-preserving Kraus family."""
     mats = [np.asarray(k, dtype=complex) for k in ops]
+    if not all(np.isfinite(m).all() for m in mats):
+        raise ValueError("Kraus operator entries must be finite")
     if not mats:
         raise ValueError("need at least one Kraus operator")
     d = mats[0].shape[0]
@@ -154,10 +153,6 @@ def from_kraus(ops) -> Channel:
         vec = m.T.reshape(-1)
         choi += np.outer(vec, vec.conj())
     return Channel(choi)
-
-
-def apply(g: Channel, rho: DensityMatrix) -> DensityMatrix:
-    return g.apply(rho)
 
 
 def compose(g: Channel, h: Channel) -> Channel:
@@ -237,16 +232,18 @@ def transpose_map() -> Channel:
     return _channel_from_transfer(transfer.astype(complex))
 
 
+# Spec kind -> builder; its keyword parameters are the params the kind takes.
 _GATE_BUILDERS = {
-    "hadamard": lambda params: hadamard(_angle(params.get("phi", 0.0))),
-    "not": lambda params: not_gate(_angle(params.get("phi", 0.0))),
-    "rotation": lambda params: rotation_gate(
-        _angle(params["alpha"]), _angle(params["theta"]), _angle(params.get("phi", 0.0))
+    "hadamard": lambda phi=0.0: hadamard(_angle(phi)),
+    "not": lambda phi=0.0: not_gate(_angle(phi)),
+    "rotation": lambda alpha, theta, phi=0.0: rotation_gate(
+        _angle(alpha), _angle(theta), _angle(phi)
     ),
-    "phase": lambda params: phase_gate(_angle(params["alpha"])),
-    "cnot": lambda params: cnot(_angle(params.get("phi", 0.0))),
-    "measurement": lambda params: measurement(_spec_qubits(params.get("n", 1))),
-    "transpose": lambda params: transpose_map(),
+    "phase": lambda alpha: phase_gate(_angle(alpha)),
+    "cnot": lambda phi=0.0: cnot(_angle(phi)),
+    "measurement": lambda n=1: measurement(_spec_qubits(n)),
+    "unitary": lambda matrix: from_unitary(_complex_matrix(matrix)),
+    "kraus": lambda operators: from_kraus(_kraus_operators(operators)),
 }
 
 
@@ -265,10 +262,15 @@ def _spec_qubits(value) -> int:
 
 
 def standard_gate(label: str, /, **params) -> Channel:
+    """The gate a spec kind names; unknown or missing params raise ValueError."""
     builder = _GATE_BUILDERS.get(label)
     if builder is None:
         raise ValueError(f"unknown gate label {label!r}")
-    return builder(params)
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"gate {label!r}: {exc}") from None
+    return builder(**params)
 
 
 # ----------------------------------------------------------------------------
@@ -519,14 +521,20 @@ def _complex_matrix(entries) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _kraus_operators(ops) -> list[np.ndarray]:
+    if not isinstance(ops, list):
+        raise ValueError("kraus 'operators' must be a list of matrices")
+    return [_complex_matrix(m) for m in ops]
+
+
 def gate_from_spec(spec: dict) -> Channel:
     """Build a channel from a JSON-style gate description.
 
     Shape: {"kind": ..., "params": {...}, "noise": [{"kind": ..., "strength": ...}]}.
     Angle parameters accept numbers (radians) or tokens like "pi" and "2/3pi".
     Gates act on at most MAX_SPEC_QUBITS qubits, checked before any array is
-    built.  Every malformed spec raises ValueError (or KeyError for a missing
-    parameter).
+    built.  Every malformed spec raises ValueError (or KeyError for a noise
+    entry without its kind or strength).
     """
     if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
         raise ValueError("gate spec must be an object with a string 'kind' field")
@@ -537,15 +545,7 @@ def gate_from_spec(spec: dict) -> Channel:
     noise = spec.get("noise") or []
     if not isinstance(noise, list) or not all(isinstance(e, dict) for e in noise):
         raise ValueError("gate spec 'noise' must be a list of objects")
-    if kind == "unitary":
-        gate = from_unitary(_complex_matrix(params["matrix"]))
-    elif kind == "kraus":
-        ops = params["operators"]
-        if not isinstance(ops, list):
-            raise ValueError("kraus 'operators' must be a list of matrices")
-        gate = from_kraus([_complex_matrix(m) for m in ops])
-    else:
-        gate = standard_gate(kind, **params)
+    gate = standard_gate(kind, **params)
     for entry in noise:
         gate = apply_noise(gate, NoiseModel(entry["kind"], entry["strength"]))
     return gate

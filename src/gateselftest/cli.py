@@ -16,9 +16,9 @@ import numpy as np
 
 from . import __version__
 from .angles import parse_angle
-from .channel import gate_from_spec
-from .equations import family_equations, max_violation
-from .families import Family, dist_to_family, triple_family
+from .channel import NOISE_KINDS, gate_from_spec
+from .equations import max_violation
+from .families import FAMILIES, FAMILY_KINDS, Family, dist_to_family, family_equations
 from .oracle import Oracle
 from .qstate import NumericsError
 from .roblab import noise_scan, scan_csv_text
@@ -32,13 +32,15 @@ EXIT_NUMERIC = 3
 
 def _family_from_args(args) -> Family:
     kind = args.family
-    alpha = None
-    theta = None
-    if kind in ("rotation", "h-phase", "h-phase-cnot"):
-        if args.alpha is None:
-            if kind == "h-phase-cnot":
-                return triple_family()
-            raise ValueError(f"family {kind!r} needs --alpha")
+    spec = FAMILIES[kind]
+    for flag, value, takes in (
+        ("--alpha", args.alpha, spec.takes_alpha),
+        ("--theta", args.theta, spec.takes_theta),
+    ):
+        if value is not None and not takes:
+            raise ValueError(f"family {kind!r} takes no {flag}")
+    alpha = spec.default_alpha
+    if args.alpha is not None:
         angle = parse_angle(args.alpha)
         if not angle.is_rational_pi:
             raise ValueError(
@@ -46,9 +48,12 @@ def _family_from_args(args) -> Family:
                 f"got {args.alpha!r}"
             )
         alpha = angle.pi_fraction
-    if kind == "rotation":
+    elif spec.takes_alpha and alpha is None:
+        raise ValueError(f"family {kind!r} needs --alpha")
+    theta = None
+    if spec.takes_theta:
         if args.theta is None:
-            raise ValueError("rotation family needs --theta")
+            raise ValueError(f"{kind} family needs --theta")
         theta = parse_angle(args.theta).radians
     return Family(kind, alpha=alpha, theta=theta)
 
@@ -165,11 +170,7 @@ def _cmd_distance(args) -> int:
 
 
 def _add_family_options(sub) -> None:
-    sub.add_argument(
-        "--family",
-        required=True,
-        choices=["hadamard", "rotation", "h-not", "h-phase", "h-cnot", "h-phase-cnot"],
-    )
+    sub.add_argument("--family", required=True, choices=FAMILY_KINDS)
     sub.add_argument("--alpha", help="angle token, e.g. 'pi', '2/3pi', '0.7854'")
     sub.add_argument("--theta", help="latitude token for the rotation family")
 
@@ -209,11 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scan = subparsers.add_parser("scan", help="noise sweep, CSV output")
     _add_family_options(scan)
-    scan.add_argument(
-        "--noise",
-        required=True,
-        choices=["depolarize", "overrotate", "phase_drift", "amplitude_damp"],
-    )
+    scan.add_argument("--noise", required=True, choices=NOISE_KINDS)
     scan.add_argument(
         "--grid",
         required=True,

@@ -21,7 +21,6 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import Channel, identity, tensor_channels
-from .families import Family
 
 MAX_TOTAL_EXPONENT = 10**6
 
@@ -244,7 +243,7 @@ def _word(arity: int, steps, w: str, v: str, r: float, n: int = 1):
     return ExperimentalEquation(n=n, arity=arity, program=tuple(steps), w=w, v=v, r=r)
 
 
-def _rotation_equations(frac: Fraction, theta: float, *, var: int, arity: int):
+def rotation_equations(frac: Fraction, theta: float, *, var: int, arity: int):
     """The order-many height constraints that pin a rotation down to sign and phi."""
     alpha = float(frac) * math.pi
     order = n_alpha(frac.numerator, frac.denominator)
@@ -254,7 +253,7 @@ def _rotation_equations(frac: Fraction, theta: float, *, var: int, arity: int):
     return eqs
 
 
-def _hadamard_equations(var: int, arity: int):
+def hadamard_equations(var: int, arity: int):
     return [
         _single(var, arity, 1, "0", "0", 0.5),
         _single(var, arity, 2, "0", "0", 1.0),
@@ -273,7 +272,29 @@ def _conjugated(f_var: int, g_var: int, arity: int, g_exp: int, r: float):
     )
 
 
-def _cnot_equations(f_var: int, c_var: int, arity: int):
+def not_equations(f_var: int, g_var: int, arity: int):
+    """NOT_phi: a bit flip that squares to the identity and fixes F|0>."""
+    return [
+        _single(g_var, arity, 1, "0", "0", 0.0),
+        _single(g_var, arity, 1, "1", "0", 1.0),
+        _conjugated(f_var, g_var, arity, 2, 1.0),
+        _conjugated(f_var, g_var, arity, 1, 1.0),
+    ]
+
+
+def phase_equations(frac: Fraction, f_var: int, g_var: int, arity: int):
+    """The diagonal phase by frac * pi, whose order shows through F."""
+    alpha = float(frac) * math.pi
+    order = n_alpha(frac.numerator, frac.denominator)
+    return [
+        _single(g_var, arity, 1, "0", "0", 1.0),
+        _single(g_var, arity, 1, "1", "0", 0.0),
+        _conjugated(f_var, g_var, arity, order, 1.0),
+        _conjugated(f_var, g_var, arity, 1, 0.5 + 0.5 * math.cos(alpha)),
+    ]
+
+
+def cnot_equations(f_var: int, c_var: int, arity: int):
     rows = [("00", "00"), ("01", "01"), ("10", "11"), ("11", "10")]
     eqs = [
         ExperimentalEquation(
@@ -290,46 +311,3 @@ def _cnot_equations(f_var: int, c_var: int, arity: int):
     eqs.append(_word(arity, (left, Step(c_var, Embedding.WHOLE, 2), left), "01", "01", 1.0, n=2))
     eqs.append(_word(arity, (pair, Step(c_var), pair), "00", "00", 1.0, n=2))
     return eqs
-
-
-def family_equations(family: Family) -> EquationSet:
-    """The built-in defining equation set of a gate family.
-
-    Every set is exactly satisfied by every member of its family (any phi,
-    either sign), which is what makes the non-identifiable parameters truly
-    unobservable.
-    """
-    if family.kind == "hadamard":
-        eqs = _hadamard_equations(0, 1)
-    elif family.kind == "rotation":
-        eqs = _rotation_equations(family.alpha, family.theta, var=0, arity=1)
-    elif family.kind == "h-not":
-        eqs = _hadamard_equations(0, 2) + [
-            _single(1, 2, 1, "0", "0", 0.0),
-            _single(1, 2, 1, "1", "0", 1.0),
-            _conjugated(0, 1, 2, 2, 1.0),
-            _conjugated(0, 1, 2, 1, 1.0),
-        ]
-    elif family.kind == "h-phase":
-        eqs = _phase_pair_equations(family, f_var=0, g_var=1, arity=2)
-    elif family.kind == "h-cnot":
-        eqs = _hadamard_equations(0, 2) + _cnot_equations(0, 1, 2)
-    else:  # h-phase-cnot
-        eqs = (
-            _hadamard_equations(0, 3)
-            + _phase_pair_equations(family, f_var=0, g_var=1, arity=3)[3:]
-            + _cnot_equations(0, 2, 3)
-        )
-    return EquationSet(tuple(eqs), family=family.label)
-
-
-def _phase_pair_equations(family: Family, *, f_var: int, g_var: int, arity: int):
-    frac = family.alpha
-    alpha = float(frac) * math.pi
-    order = n_alpha(frac.numerator, frac.denominator)
-    return _hadamard_equations(f_var, arity) + [
-        _single(g_var, arity, 1, "0", "0", 1.0),
-        _single(g_var, arity, 1, "1", "0", 0.0),
-        _conjugated(f_var, g_var, arity, order, 1.0),
-        _conjugated(f_var, g_var, arity, 1, 0.5 + 0.5 * math.cos(alpha)),
-    ]

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from scipy.optimize import minimize_scalar
 
@@ -25,8 +27,14 @@ from .channel import (
     rotation_gate,
     sup_norm_report,
 )
-
-FAMILY_KINDS = ("hadamard", "rotation", "h-not", "h-phase", "h-cnot", "h-phase-cnot")
+from .equations import (
+    EquationSet,
+    cnot_equations,
+    hadamard_equations,
+    not_equations,
+    phase_equations,
+    rotation_equations,
+)
 
 # Coefficient of sqrt(eps) in the proven distance bound for the hadamard
 # family: any gate eps-satisfying its three equations is within
@@ -34,6 +42,68 @@ FAMILY_KINDS = ("hadamard", "rotation", "h-not", "h-phase", "h-cnot", "h-phase-c
 HADAMARD_ROBUSTNESS_COEFF = 4579.0
 
 TWO_PI = 2.0 * math.pi
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """Everything the package knows about one gate family.
+
+    ``members`` holds ``(build, phi_dependent)`` per gate, in tuple order, where
+    ``build(family, alpha, phi)`` gets the signed angle in radians;
+    ``equations(family)`` lists the defining equations.  Families that take an
+    alpha have both angle signs as members.
+    """
+
+    members: tuple[tuple[Callable[[Family, float, float], Channel], bool], ...]
+    equations: Callable[[Family], list]
+    takes_alpha: bool = False
+    takes_theta: bool = False
+    default_alpha: Fraction | None = None
+    sqrt_law_coeff: float | None = None
+
+
+# The builders look the gate constructors up when they run, so rebinding a
+# module attribute (as a tracer does) reaches every family.
+_H = (lambda fam, alpha, phi: hadamard(phi), True)
+_PHASE = (lambda fam, alpha, phi: phase_gate(alpha), False)
+_CNOT = (lambda fam, alpha, phi: cnot(phi), True)
+
+FAMILIES = {
+    "hadamard": FamilySpec(
+        members=(_H,),
+        equations=lambda fam: hadamard_equations(0, 1),
+        sqrt_law_coeff=HADAMARD_ROBUSTNESS_COEFF,
+    ),
+    "rotation": FamilySpec(
+        members=((lambda fam, alpha, phi: rotation_gate(alpha, fam.theta, phi), True),),
+        equations=lambda fam: rotation_equations(fam.alpha, fam.theta, var=0, arity=1),
+        takes_alpha=True,
+        takes_theta=True,
+    ),
+    "h-not": FamilySpec(
+        members=(_H, (lambda fam, alpha, phi: not_gate(phi), True)),
+        equations=lambda fam: hadamard_equations(0, 2) + not_equations(0, 1, 2),
+    ),
+    "h-phase": FamilySpec(
+        members=(_H, _PHASE),
+        equations=lambda fam: hadamard_equations(0, 2)
+        + phase_equations(fam.alpha, 0, 1, 2),
+        takes_alpha=True,
+    ),
+    "h-cnot": FamilySpec(
+        members=(_H, _CNOT),
+        equations=lambda fam: hadamard_equations(0, 2) + cnot_equations(0, 1, 2),
+    ),
+    "h-phase-cnot": FamilySpec(
+        members=(_H, _PHASE, _CNOT),
+        equations=lambda fam: hadamard_equations(0, 3)
+        + phase_equations(fam.alpha, 0, 1, 3)
+        + cnot_equations(0, 2, 3),
+        takes_alpha=True,
+        default_alpha=Fraction(1, 4),
+    ),
+}
+FAMILY_KINDS = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -56,10 +126,10 @@ class Family:
     theta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        spec = FAMILIES.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        needs_alpha = self.kind in ("rotation", "h-phase", "h-phase-cnot")
-        if needs_alpha:
+        if spec.takes_alpha:
             if self.alpha is None:
                 raise ValueError(f"family {self.kind!r} needs an alpha fraction of pi")
             frac = Fraction(self.alpha)
@@ -68,9 +138,9 @@ class Family:
             object.__setattr__(self, "alpha", frac)
         elif self.alpha is not None:
             raise ValueError(f"family {self.kind!r} takes no alpha parameter")
-        if self.kind == "rotation":
+        if spec.takes_theta:
             if self.theta is None:
-                raise ValueError("rotation family needs a latitude theta")
+                raise ValueError(f"{self.kind} family needs a latitude theta")
             th = float(self.theta)
             if not 0.0 < th <= math.pi / 2.0 + 1e-12:
                 raise ValueError(f"theta must lie in (0, pi/2], got {th}")
@@ -84,10 +154,12 @@ class Family:
             raise ValueError(f"family {self.kind!r} takes no theta parameter")
 
     @property
+    def spec(self) -> FamilySpec:
+        return FAMILIES[self.kind]
+
+    @property
     def arity(self) -> int:
-        return {"h-not": 2, "h-phase": 2, "h-cnot": 2, "h-phase-cnot": 3}.get(
-            self.kind, 1
-        )
+        return len(self.spec.members)
 
     @property
     def alpha_radians(self) -> float:
@@ -95,17 +167,15 @@ class Family:
 
     @property
     def label(self) -> str:
-        if self.kind == "rotation":
-            return f"rotation({self.alpha}pi,{self.theta:.12g})"
-        if self.kind in ("h-phase", "h-phase-cnot"):
+        if self.spec.takes_theta:
+            return f"{self.kind}({self.alpha}pi,{self.theta:.12g})"
+        if self.spec.takes_alpha:
             return f"{self.kind}({self.alpha}pi)"
         return self.kind
 
     @property
     def signs(self) -> tuple[int, ...]:
-        if self.kind in ("rotation", "h-phase", "h-phase-cnot"):
-            return (1, -1)
-        return (1,)
+        return (1, -1) if self.spec.takes_alpha else (1,)
 
 
 def hadamard_family() -> Family:
@@ -132,28 +202,28 @@ def triple_family(a: int = 1, b: int = 4) -> Family:
     return Family("h-phase-cnot", alpha=Fraction(a, b))
 
 
+def family_equations(family: Family) -> EquationSet:
+    """The built-in defining equation set of a gate family.
+
+    Every set is exactly satisfied by every member of its family (any phi,
+    either sign), which is what makes the non-identifiable parameters truly
+    unobservable.
+    """
+    return EquationSet(tuple(family.spec.equations(family)), family=family.label)
+
+
+def sqrt_law_radius(label, eps: float) -> float | None:
+    """Proven distance radius coeff * sqrt(eps) of the family named label, or None."""
+    spec = FAMILIES.get(label) if isinstance(label, str) else None
+    if spec is None or spec.sqrt_law_coeff is None:
+        return None
+    return spec.sqrt_law_coeff * math.sqrt(eps)
+
+
 def _components(family: Family, sign: int):
     """(builder(phi) -> Channel, phi_dependent) per member gate, in order."""
     alpha = sign * family.alpha_radians
-    if family.kind == "hadamard":
-        return [(lambda phi: hadamard(phi), True)]
-    if family.kind == "rotation":
-        theta = family.theta
-        return [(lambda phi: rotation_gate(alpha, theta, phi), True)]
-    if family.kind == "h-not":
-        return [(lambda phi: hadamard(phi), True), (lambda phi: not_gate(phi), True)]
-    if family.kind == "h-phase":
-        return [
-            (lambda phi: hadamard(phi), True),
-            (lambda phi: phase_gate(alpha), False),
-        ]
-    if family.kind == "h-cnot":
-        return [(lambda phi: hadamard(phi), True), (lambda phi: cnot(phi), True)]
-    return [
-        (lambda phi: hadamard(phi), True),
-        (lambda phi: phase_gate(alpha), False),
-        (lambda phi: cnot(phi), True),
-    ]
+    return [(partial(build, family, alpha), dep) for build, dep in family.spec.members]
 
 
 def member_gates(family: Family, phi: float, sign: int = 1) -> tuple[Channel, ...]:
@@ -238,14 +308,12 @@ def dist_to_family(
         )
         phi_star = float(res.x) % TWO_PI
 
-        spread = 0.0
         converged = True
         worst = floor
         for g, (builder, dep) in zip(gates, comps):
             report = sup_norm_report(g, builder(phi_star), starts=starts, seed=seed)
             if report.value >= worst:
                 worst = report.value
-            spread = max(spread, report.spread)
             converged = converged and report.converged
         if best is None or worst < best.distance:
             best = FamilyFit(worst, phi_star, sign, converged)

@@ -14,7 +14,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,30 +24,6 @@ PSD_TOL = 1e-10
 
 class NumericsError(RuntimeError):
     """A numerical routine failed to converge; the result would be unreliable."""
-
-
-_validate_states = True
-
-
-def validation_enabled() -> bool:
-    return _validate_states
-
-
-def set_validation(enabled: bool) -> None:
-    """Globally enable or disable state validation (skip it in hot scan loops)."""
-    global _validate_states
-    _validate_states = bool(enabled)
-
-
-@contextmanager
-def validation(enabled: bool):
-    """Temporarily override the validation switch."""
-    previous = _validate_states
-    set_validation(enabled)
-    try:
-        yield
-    finally:
-        set_validation(previous)
 
 
 def _as_matrix(value) -> np.ndarray:
@@ -76,13 +51,12 @@ class DensityMatrix:
     """Hermitian, positive-semidefinite, trace-one matrix with its qubit count.
 
     The stored array is frozen; treat instances as immutable values.  Validation
-    runs at construction unless disabled through ``validate=False`` or the
-    module switch (see :func:`set_validation`).
+    runs at construction unless disabled through ``validate=False``.
     """
 
     __slots__ = ("n", "matrix")
 
-    def __init__(self, matrix, *, validate: bool | None = None):
+    def __init__(self, matrix, *, validate: bool = True):
         arr = np.array(matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {arr.shape}")
@@ -90,7 +64,7 @@ class DensityMatrix:
         n = dim.bit_length() - 1
         if n < 1 or 2**n != dim:
             raise ValueError(f"dimension {dim} is not a power of two >= 2")
-        if _validate_states if validate is None else validate:
+        if validate:
             _check_state(arr)
         arr.setflags(write=False)
         self.n = n

@@ -18,8 +18,16 @@ import numpy as np
 
 from .bloch import affine_of_channel, from_bloch, to_bloch
 from .channel import Channel, NoiseModel, apply_noise, compose, hadamard, identity, sup_norm_distance
-from .equations import EquationSet, family_equations, max_violation
-from .families import Family, HADAMARD_ROBUSTNESS_COEFF, dist_to_family, hadamard_family, member_gates
+from .equations import EquationSet, max_violation
+from .families import (
+    Family,
+    HADAMARD_ROBUSTNESS_COEFF,
+    dist_to_family,
+    family_equations,
+    hadamard_family,
+    member_gates,
+    sqrt_law_radius,
+)
 from .qstate import DensityMatrix, trace_norm, zeta_states
 
 OPTIMIZER_SLACK = 2e-3
@@ -53,8 +61,8 @@ def noise_scan(
 ) -> list[ScanRecord]:
     """Sweep one noise model over a family member and record eps vs distance.
 
-    The bound column is the family's proven distance radius at the measured
-    eps (only the hadamard family has an explicit constant); ratio is
+    The bound column is the family's proven sqrt-law distance radius at the
+    measured eps (see ``sqrt_law_radius``); ratio is
     distance/bound and is left empty when no bound applies or the bound is 0.
     """
     eqset = family_equations(family)
@@ -74,12 +82,8 @@ def noise_scan(
             grid_starts=grid_starts,
             seed=seed,
         )
-        if family.kind == "hadamard":
-            bound = HADAMARD_ROBUSTNESS_COEFF * math.sqrt(eps)
-            ratio = fit.distance / bound if bound > 0.0 else None
-        else:
-            bound = None
-            ratio = None
+        bound = sqrt_law_radius(family.label, eps)
+        ratio = fit.distance / bound if bound else None
         records.append(
             ScanRecord(noise_kind, float(s), eps, fit.distance, bound, ratio)
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .equations import EquationSet
-from .families import HADAMARD_ROBUSTNESS_COEFF
+from .families import sqrt_law_radius
 from .oracle import Oracle
 
 MAX_TOTAL_QUERIES = 10**9
@@ -129,7 +129,7 @@ def run_tester(
     """One tester run: estimate every equation, compare against 2 eps / 3.
 
     ``delta`` optionally supplies the robustness radius of the equation set;
-    the hadamard family uses its proven sqrt-law bound by default.  The
+    a family with a proven sqrt-law bound uses that bound by default.  The
     verdict is a deterministic function of the oracle seed, the equation set
     and eps (fresh oracle assumed).
     """
@@ -158,11 +158,9 @@ def run_tester(
     if delta is not None:
         delta2 = float(delta)
         note = "caller-supplied robustness radius"
-    elif eqset.family == "hadamard":
-        delta2 = HADAMARD_ROBUSTNESS_COEFF * math.sqrt(eps)
-        note = "sqrt-law robustness bound for the hadamard family"
+    elif (delta2 := sqrt_law_radius(eqset.family, eps)) is not None:
+        note = f"sqrt-law robustness bound for the {eqset.family} family"
     else:
-        delta2 = None
         note = (
             "a finite robustness radius exists for every built-in set, but no "
             "explicit constant is computed here; pass delta to quantify"

@@ -7,7 +7,7 @@ oracle for the implementation rather than a mirror of it.
 
 import numpy as np
 
-from gateselftest import Channel, from_choi
+from gateselftest import Channel
 
 
 def ginibre(rng, rows, cols):
@@ -41,7 +41,7 @@ def random_cptp(rng, n=1, n_kraus=None):
     dim = 2 ** n
     if n_kraus is None:
         n_kraus = int(rng.integers(1, dim * dim + 1))
-    return from_choi(choi_of_kraus(random_kraus_set(rng, dim, n_kraus)))
+    return Channel(choi_of_kraus(random_kraus_set(rng, dim, n_kraus)))
 
 
 def random_unitary(rng, dim):
@@ -61,7 +61,7 @@ def random_near_identity(rng, n=1, scale=0.05):
     mix = scale * rng.uniform(0.0, 1.0)
     kraus = [np.sqrt(1 - mix) * u]
     kraus += [np.sqrt(mix) * k for k in random_kraus_set(rng, dim, 2)]
-    return from_choi(choi_of_kraus(kraus))
+    return Channel(choi_of_kraus(kraus))
 
 
 def random_noncp_map(rng, n=1, scale=0.3):

@@ -10,7 +10,6 @@ from gateselftest import (
     apply_noise,
     cnot,
     compose,
-    from_choi,
     from_kraus,
     from_unitary,
     gate_from_spec,
@@ -93,7 +92,7 @@ def test_apply_matches_choi_contraction():
 def test_transfer_roundtrip():
     rng = np.random.default_rng(23)
     g = random_cptp(rng, n=1)
-    h = from_choi(compose(g, identity(1)).choi)
+    h = Channel(compose(g, identity(1)).choi)
     assert g.is_close(h)
 
 
@@ -102,6 +101,16 @@ def test_from_unitary_rejects_nonunitary():
         from_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(ValueError):
         from_unitary(np.ones((2, 3)))
+
+
+def test_non_finite_matrices_are_value_errors():
+    nan = np.full((2, 2), np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        from_unitary(nan)
+    with pytest.raises(ValueError, match="finite"):
+        from_unitary(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        from_kraus([np.eye(2), nan])
 
 
 def test_from_unitary_ignores_global_phase():
@@ -496,9 +505,10 @@ def test_gate_from_spec_standard():
 
 
 def test_gate_from_spec_param_named_label():
-    # a parameter named like standard_gate's own argument is still a parameter
-    g = gate_from_spec({"kind": "hadamard", "params": {"phi": 0.3, "label": "x"}})
-    assert g.is_close(hadamard(0.3))
+    # a parameter named like standard_gate's own argument is an unknown
+    # parameter (ValueError), not a clash of arguments (TypeError)
+    with pytest.raises(ValueError, match="'label'"):
+        gate_from_spec({"kind": "hadamard", "params": {"phi": 0.3, "label": "x"}})
 
 
 def test_gate_from_spec_unitary_matrix():

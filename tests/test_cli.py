@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +78,28 @@ def test_equations_rotation_family(capsys):
     )
     assert code == EXIT_PASS
     assert json.loads(out)["d"] == 4
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+GOLDEN_FAMILIES = {
+    "hadamard": ["hadamard"],
+    "rotation": ["rotation", "--alpha", "2/3pi", "--theta", "0.9"],
+    "h-not": ["h-not"],
+    "h-phase": ["h-phase", "--alpha", "1/4pi"],
+    "h-cnot": ["h-cnot"],
+    "h-phase-cnot": ["h-phase-cnot"],
+    "h-phase-cnot-half": ["h-phase-cnot", "--alpha", "1/2pi"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_FAMILIES)
+def test_equations_match_golden_bytes(capsys, name):
+    # pins equation order, constants and labels, not just their count
+    code, out, _ = run_cli(capsys, "equations", "--family", *GOLDEN_FAMILIES[name])
+    assert code == EXIT_PASS
+    assert out.encode() == (GOLDEN / f"equations-{name}.json").read_bytes()
 
 
 def test_triple_family_defaults_alpha(capsys):
@@ -371,17 +394,23 @@ MALFORMED_INPUTS = {
     "spec-angle-zero-den": ({"kind": "hadamard", "params": {"phi": "1/0pi"}}, None),
     "spec-angle-pi-over-zero": ({"kind": "hadamard", "params": {"phi": "pi/0"}}, None),
     "spec-angle-inf": ({"kind": "hadamard", "params": {"phi": "inf"}}, None),
-    "alpha-zero-den": (None, "1/0pi"),
-    "alpha-pi-over-zero": (None, "pi/0"),
+    "spec-param-typo": ({"kind": "hadamard", "params": {"ph": 0.3}}, None),
+    "spec-param-extra": ({"kind": "phase", "params": {"alpha": "pi", "phi": 0.1}}, None),
+    "spec-param-missing": ({"kind": "unitary"}, None),
+    "alpha-zero-den": (None, ["h-phase", "--alpha", "1/0pi"]),
+    "alpha-pi-over-zero": (None, ["h-phase", "--alpha", "pi/0"]),
+    "alpha-not-taken": (None, ["hadamard", "--alpha", "pi"]),
+    "theta-not-taken": (None, ["h-cnot", "--theta", "0.3"]),
+    "theta-for-h-phase": (None, ["h-phase", "--alpha", "1/4pi", "--theta", "0.3"]),
 }
 
 
 @pytest.mark.parametrize(
-    "spec, alpha", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys()
+    "spec, family", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys()
 )
-def test_malformed_input_is_usage_error(capsys, gate_file, spec, alpha):
+def test_malformed_input_is_usage_error(capsys, gate_file, spec, family):
     if spec is None:
-        argv = ["equations", "--family", "h-phase", "--alpha", alpha]
+        argv = ["equations", "--family", *family]
     else:
         argv = ["check", "--family", "hadamard", "--gate", gate_file("bad.json", spec)]
     code, out, err = run_cli(capsys, *argv)

@@ -13,7 +13,6 @@ from gateselftest import (
     rho_of,
     tensor,
     trace_norm,
-    validation,
     zeta,
     zeta_states,
 )
@@ -157,9 +156,8 @@ def test_validation_toggle():
     bad = np.diag([2.0, -1.0]).astype(complex)  # trace 1 but not PSD
     with pytest.raises(ValueError):
         DensityMatrix(bad)
-    with validation(False):
-        rho = DensityMatrix(bad)  # accepted while validation is off
-        assert rho.n == 1
+    rho = DensityMatrix(bad, validate=False)  # accepted for this call only
+    assert rho.n == 1
     with pytest.raises(ValueError):
         DensityMatrix(bad)
 
