@@ -81,7 +81,6 @@ from .roblab import (
     hadamard_robustness_probe,
     noise_scan,
     scan_csv_text,
-    write_scan_csv,
 )
 from .tester import (
     TesterPlan,

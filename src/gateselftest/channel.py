@@ -34,6 +34,10 @@ CP_TOL = 1e-10
 TP_TOL = 1e-10
 CHOI_CLOSE_TOL = 1e-10
 SPREAD_FLAG_TOL = 1e-4
+# The norm ascent stops after ASCENT_MAX_ITER iterations, or once no start's
+# value moved by more than ASCENT_TOL * max(1, best value) in one iteration.
+ASCENT_MAX_ITER = 200
+ASCENT_TOL = 1e-13
 # Largest gate a spec may describe: a 4-qubit Choi matrix is 256 x 256.
 MAX_SPEC_QUBITS = 4
 
@@ -402,7 +406,7 @@ def _images(delta: np.ndarray, u, v) -> np.ndarray:
     return (outer @ delta.T).reshape(b, d, d)
 
 
-def _ascent(delta: np.ndarray, u, v, max_iter: int, tol: float):
+def _ascent(delta: np.ndarray, u, v):
     """Monotone alternating maximisation of ||Delta(u v*)||_1.
 
     Alternates the exact solutions of the three partial problems: the dual
@@ -413,7 +417,7 @@ def _ascent(delta: np.ndarray, u, v, max_iter: int, tol: float):
     """
     b, d = u.shape
     vals = np.zeros(b)
-    for _ in range(max_iter):
+    for _ in range(ASCENT_MAX_ITER):
         try:
             uu, sing, vh = np.linalg.svd(_images(delta, u, v))
         except np.linalg.LinAlgError as exc:
@@ -429,7 +433,7 @@ def _ascent(delta: np.ndarray, u, v, max_iter: int, tol: float):
         en = np.linalg.norm(e, axis=1)
         ok = en > 1e-30
         v = np.where(ok[:, None], e / np.where(ok, en, 1.0)[:, None], v)
-        if np.abs(new_vals - vals).max() < tol * max(1.0, new_vals.max()):
+        if np.abs(new_vals - vals).max() < ASCENT_TOL * max(1.0, new_vals.max()):
             vals = new_vals
             break
         vals = new_vals
@@ -437,13 +441,7 @@ def _ascent(delta: np.ndarray, u, v, max_iter: int, tol: float):
 
 
 def sup_norm_report(
-    g: Channel,
-    h: Channel | None = None,
-    *,
-    starts: int = 64,
-    seed: int = 0,
-    max_iter: int = 200,
-    tol: float = 1e-13,
+    g: Channel, h: Channel | None = None, *, starts: int = 64, seed: int = 0
 ) -> SupNormResult:
     """Maximise ||(G - H)(V)||_1 over the trace-norm unit ball.
 
@@ -459,7 +457,7 @@ def sup_norm_report(
     if np.abs(delta).max() < 1e-14:
         return SupNormResult(0.0, 0.0, True)
     u0, v0 = _ascent_starts(d, starts, seed)
-    vals, u, v = _ascent(delta, u0, v0, max_iter, tol)
+    vals, u, v = _ascent(delta, u0, v0)
     best = int(np.argmax(vals))
     value = float(vals[best])
     spread = float(value - np.quantile(vals, 0.9))
@@ -514,6 +512,8 @@ def _complex_matrix(entries) -> np.ndarray:
         arr = np.asarray(entries, dtype=float)
     except TypeError:
         raise ValueError("matrix entries must be [re, im] pairs of numbers") from None
+    except OverflowError:
+        raise ValueError("matrix entries must be finite numbers") from None
     if arr.ndim != 3 or arr.shape[-1] != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix entries must be a square grid of [re, im] pairs")
     if not np.isfinite(arr).all():
@@ -533,11 +533,13 @@ def gate_from_spec(spec: dict) -> Channel:
     Shape: {"kind": ..., "params": {...}, "noise": [{"kind": ..., "strength": ...}]}.
     Angle parameters accept numbers (radians) or tokens like "pi" and "2/3pi".
     Gates act on at most MAX_SPEC_QUBITS qubits, checked before any array is
-    built.  Every malformed spec raises ValueError (or KeyError for a noise
-    entry without its kind or strength).
+    built.  Every malformed spec, an unknown key included, raises ValueError.
     """
     if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
         raise ValueError("gate spec must be an object with a string 'kind' field")
+    unknown = set(spec) - {"kind", "params", "noise"}
+    if unknown:
+        raise ValueError(f"gate spec has unknown keys {sorted(unknown, key=str)}")
     kind = spec["kind"]
     params = spec.get("params") or {}
     if not isinstance(params, dict):
@@ -545,6 +547,11 @@ def gate_from_spec(spec: dict) -> Channel:
     noise = spec.get("noise") or []
     if not isinstance(noise, list) or not all(isinstance(e, dict) for e in noise):
         raise ValueError("gate spec 'noise' must be a list of objects")
+    for entry in noise:
+        if set(entry) != {"kind", "strength"}:
+            raise ValueError(
+                f"a noise entry takes exactly 'kind' and 'strength', got {sorted(entry, key=str)}"
+            )
     gate = standard_gate(kind, **params)
     for entry in noise:
         gate = apply_noise(gate, NoiseModel(entry["kind"], entry["strength"]))

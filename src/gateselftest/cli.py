@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .angles import parse_angle
-from .channel import NOISE_KINDS, gate_from_spec
+from .channel import NOISE_KINDS, gate_from_spec, sup_norm_report
 from .equations import max_violation
 from .families import FAMILIES, FAMILY_KINDS, Family, dist_to_family, family_equations
 from .oracle import Oracle
@@ -70,13 +70,17 @@ def _load_gates(paths):
     return tuple(gates)
 
 
-def _emit(payload: dict, out_path: str | None = None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out_path: str | None) -> None:
+    """Write text to out_path with LF line endings, or to stdout."""
     if out_path:
         with open(out_path, "w", newline="\n") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out_path: str | None) -> None:
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
 
 
 def _parse_grid(text: str):
@@ -142,12 +146,7 @@ def _cmd_scan(args) -> int:
     base = _load_gates(args.gate) if args.gate else None
     grid = _parse_grid(args.grid)
     records = noise_scan(family, args.noise, grid, base, seed=args.opt_seed)
-    text = scan_csv_text(records)
-    if args.out:
-        with open(args.out, "w", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(scan_csv_text(records), args.out)
     return EXIT_PASS
 
 
@@ -155,8 +154,6 @@ def _cmd_distance(args) -> int:
     gates = _load_gates(args.gate)
     if len(gates) != 2:
         raise ValueError("distance needs exactly two --gate files")
-    from .channel import sup_norm_report
-
     report = sup_norm_report(gates[0], gates[1], seed=args.opt_seed)
     payload = {
         "tool_version": __version__,

@@ -57,12 +57,8 @@ class ExperimentalEquation:
             raise ValueError(f"equation register needs n >= 1 qubits, got {self.n}")
         if self.arity < 1:
             raise ValueError(f"equation needs arity >= 1, got {self.arity}")
-        program = tuple(
-            s if isinstance(s, Step) else Step(s["var"], Embedding(s["embed"]), s["exp"])
-            for s in self.program
-        )
-        object.__setattr__(self, "program", program)
-        for s in program:
+        object.__setattr__(self, "program", tuple(self.program))
+        for s in self.program:
             if not 0 <= s.var < self.arity:
                 raise ValueError(f"step variable {s.var} outside arity {self.arity}")
             if s.exp < 0:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 from scipy.optimize import minimize_scalar
@@ -42,6 +41,9 @@ from .equations import (
 HADAMARD_ROBUSTNESS_COEFF = 4579.0
 
 TWO_PI = 2.0 * math.pi
+# The phi search in dist_to_family: grid size and refinement tolerance.
+PHI_GRID_POINTS = 256
+PHI_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -220,17 +222,12 @@ def sqrt_law_radius(label, eps: float) -> float | None:
     return spec.sqrt_law_coeff * math.sqrt(eps)
 
 
-def _components(family: Family, sign: int):
-    """(builder(phi) -> Channel, phi_dependent) per member gate, in order."""
-    alpha = sign * family.alpha_radians
-    return [(partial(build, family, alpha), dep) for build, dep in family.spec.members]
-
-
 def member_gates(family: Family, phi: float, sign: int = 1) -> tuple[Channel, ...]:
     """The family member at equator longitude phi and angle sign."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return tuple(builder(phi) for builder, _ in _components(family, sign))
+    alpha = sign * family.alpha_radians
+    return tuple(build(family, alpha, phi) for build, _ in family.spec.members)
 
 
 @dataclass
@@ -243,22 +240,19 @@ class FamilyFit:
     converged: bool
 
 
-def dist_to_family(
-    gates,
-    family: Family,
-    *,
-    grid_points: int = 256,
-    starts: int = 64,
-    grid_starts: int = 16,
-    phi_tol: float = 1e-6,
-    seed: int = 0,
-) -> FamilyFit:
+def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 0) -> FamilyFit:
     """Minimise the worst per-gate superoperator distance over the family.
 
-    Coarse phi grid (with cheaper multistarts) followed by bounded scalar
-    refinement of the best bracket down to phi_tol; sign choices are
-    enumerated.  The returned distance is re-evaluated with the full number of
-    starts, so it is a certified lower bound at the reported member.
+    A coarse grid of PHI_GRID_POINTS longitudes, each evaluated with
+    ``grid_starts`` multistarts, is followed by a bounded scalar refinement of
+    the best bracket down to PHI_TOL with ``sup_norm_report``'s full number
+    of starts; sign choices are enumerated.  Members that do not depend on phi
+    are evaluated once per sign.  The reported distance and ``converged`` come
+    from full-start evaluations at the returned member, so the distance is a
+    certified lower bound there.  ``grid_starts`` stays a parameter, and grid
+    evaluations pass it as ``starts=`` by keyword, because ``bench/spans.py``
+    reads its default and that keyword to tell grid evaluations from
+    refinement ones.
     """
     if isinstance(gates, Channel):
         gates = (gates,)
@@ -267,54 +261,41 @@ def dist_to_family(
         raise ValueError(
             f"family {family.label} has arity {family.arity}, got {len(gates)} gates"
         )
+    pairs = tuple(zip(gates, family.spec.members))
 
     best: FamilyFit | None = None
     for sign in family.signs:
-        comps = _components(family, sign)
-        for gate, (builder, _) in zip(gates, comps):
-            probe = builder(0.0)
-            if gate.n != probe.n:
+        alpha = sign * family.alpha_radians
+
+        def report(gate, build, phi, **starts):
+            member = build(family, alpha, phi)
+            if gate.n != member.n:
                 raise ValueError(
                     f"gate acts on {gate.n} qubits where the family member "
-                    f"acts on {probe.n}"
+                    f"acts on {member.n}"
                 )
+            return sup_norm_report(gate, member, seed=seed, **starts)
 
-        static = [
-            sup_norm_report(g, builder(0.0), starts=starts, seed=seed).value
-            for g, (builder, dep) in zip(gates, comps)
-            if not dep
-        ]
-        floor = max(static) if static else 0.0
+        static = [report(g, build, 0.0) for g, (build, dep) in pairs if not dep]
+        floor = max((r.value for r in static), default=0.0)
 
-        def objective(phi: float, n_starts: int) -> float:
-            worst = floor
-            for g, (builder, dep) in zip(gates, comps):
-                if not dep:
-                    continue
-                val = sup_norm_report(g, builder(phi), starts=n_starts, seed=seed).value
-                worst = max(worst, val)
-            return worst
+        def objective(phi: float, **starts) -> float:
+            values = [report(g, build, phi, **starts).value for g, (build, dep) in pairs if dep]
+            return max([floor, *values])
 
-        step = TWO_PI / grid_points
-        grid_vals = [objective(j * step, grid_starts) for j in range(grid_points)]
-        j_best = int(min(range(grid_points), key=grid_vals.__getitem__))
-        lo = (j_best - 1) * step
-        hi = (j_best + 1) * step
+        step = TWO_PI / PHI_GRID_POINTS
+        grid_vals = [objective(j * step, starts=grid_starts) for j in range(PHI_GRID_POINTS)]
+        j_best = min(range(PHI_GRID_POINTS), key=grid_vals.__getitem__)
         res = minimize_scalar(
-            lambda phi: objective(phi, starts),
-            bounds=(lo, hi),
+            objective,
+            bounds=((j_best - 1) * step, (j_best + 1) * step),
             method="bounded",
-            options={"xatol": phi_tol},
+            options={"xatol": PHI_TOL},
         )
         phi_star = float(res.x) % TWO_PI
 
-        converged = True
-        worst = floor
-        for g, (builder, dep) in zip(gates, comps):
-            report = sup_norm_report(g, builder(phi_star), starts=starts, seed=seed)
-            if report.value >= worst:
-                worst = report.value
-            converged = converged and report.converged
+        final = static + [report(g, build, phi_star) for g, (build, dep) in pairs if dep]
+        worst = max(r.value for r in final)
         if best is None or worst < best.distance:
-            best = FamilyFit(worst, phi_star, sign, converged)
+            best = FamilyFit(worst, phi_star, sign, all(r.converged for r in final))
     return best

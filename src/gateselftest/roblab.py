@@ -10,7 +10,6 @@ optimiser on top of the stated constants.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,10 @@ from .qstate import DensityMatrix, trace_norm, zeta_states
 
 OPTIMIZER_SLACK = 2e-3
 
+# fit_exponent needs this many usable records spanning this many decades of eps.
+FIT_MIN_POINTS = 8
+FIT_MIN_DECADES = 2.0
+
 SIX_STATE_IDENTITY_COEFF = 8.0
 TWO_AXIS_IDENTITY_COEFF = 241.0
 
@@ -49,15 +52,7 @@ class ScanRecord:
 
 
 def noise_scan(
-    family: Family,
-    noise_kind: str,
-    strengths,
-    base_gates=None,
-    *,
-    grid_points: int = 256,
-    starts: int = 64,
-    grid_starts: int = 16,
-    seed: int = 0,
+    family: Family, noise_kind: str, strengths, base_gates=None, *, seed: int = 0
 ) -> list[ScanRecord]:
     """Sweep one noise model over a family member and record eps vs distance.
 
@@ -74,14 +69,7 @@ def noise_scan(
         model = NoiseModel(noise_kind, float(s))
         noisy = tuple(apply_noise(g, model) for g in base_gates)
         eps = max_violation(eqset, noisy)
-        fit = dist_to_family(
-            noisy,
-            family,
-            grid_points=grid_points,
-            starts=starts,
-            grid_starts=grid_starts,
-            seed=seed,
-        )
+        fit = dist_to_family(noisy, family, seed=seed)
         bound = sqrt_law_radius(family.label, eps)
         ratio = fit.distance / bound if bound else None
         records.append(
@@ -94,36 +82,16 @@ def _csv_cell(value: float | None) -> str:
     return "" if value is None else f"{value:.12g}"
 
 
-def write_scan_csv(records, destination) -> None:
-    """Write scan records as CSV: fixed header, 12 significant digits, LF."""
-    def _write(handle) -> None:
-        handle.write(SCAN_CSV_HEADER + "\n")
-        for r in records:
-            handle.write(
-                ",".join(
-                    [
-                        r.noise_kind,
-                        f"{r.strength:.12g}",
-                        f"{r.epsilon:.12g}",
-                        f"{r.distance:.12g}",
-                        _csv_cell(r.bound),
-                        _csv_cell(r.ratio),
-                    ]
-                )
-                + "\n"
-            )
-
-    if isinstance(destination, (str, bytes)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w", newline="\n") as handle:
-            _write(handle)
-    else:
-        _write(destination)
-
-
 def scan_csv_text(records) -> str:
-    buf = io.StringIO()
-    write_scan_csv(records, buf)
-    return buf.getvalue()
+    """Scan records as CSV text: fixed header, 12 significant digits, LF."""
+    rows = [SCAN_CSV_HEADER] + [
+        ",".join(
+            [r.noise_kind]
+            + [_csv_cell(x) for x in (r.strength, r.epsilon, r.distance, r.bound, r.ratio)]
+        )
+        for r in records
+    ]
+    return "\n".join(rows) + "\n"
 
 
 @dataclass(frozen=True)
@@ -136,26 +104,26 @@ class ExponentFit:
     points: int
 
 
-def fit_exponent(records, *, min_points: int = 8, min_decades: float = 2.0) -> ExponentFit:
+def fit_exponent(records) -> ExponentFit:
     """Fit log(distance) = log(C) + k_inv * log(eps) over usable records.
 
     Records with zero (or negative) eps or distance carry no log-log
     information and are dropped; the remainder must number at least
-    ``min_points`` and span at least ``min_decades`` decades of eps.
+    FIT_MIN_POINTS and span at least FIT_MIN_DECADES decades of eps.
     """
     eps = np.array([r.epsilon for r in records], dtype=float)
     dist = np.array([r.distance for r in records], dtype=float)
     usable = (eps > 0.0) & (dist > 0.0)
     eps, dist = eps[usable], dist[usable]
-    if len(eps) < min_points:
+    if len(eps) < FIT_MIN_POINTS:
         raise ValueError(
-            f"need {min_points} records with positive eps and distance, "
+            f"need {FIT_MIN_POINTS} records with positive eps and distance, "
             f"got {len(eps)}"
         )
     span = math.log10(eps.max() / eps.min())
-    if span < min_decades:
+    if span < FIT_MIN_DECADES:
         raise ValueError(
-            f"eps values span {span:.2f} decades, need at least {min_decades}"
+            f"eps values span {span:.2f} decades, need at least {FIT_MIN_DECADES}"
         )
     slope, intercept = np.polyfit(np.log(eps), np.log(dist), 1)
     resid = np.log(dist) - (intercept + slope * np.log(eps))
@@ -174,7 +142,7 @@ class SixStateReport:
     holds: bool
 
 
-def check_six_state_identity_bound(g: Channel, *, slack: float = OPTIMIZER_SLACK) -> SixStateReport:
+def check_six_state_identity_bound(g: Channel) -> SixStateReport:
     """Check the six-state identity bound on an arbitrary one-qubit superoperator."""
     if g.n != 1:
         raise ValueError(f"six-state bound applies to one-qubit maps, got n={g.n}")
@@ -189,7 +157,7 @@ def check_six_state_identity_bound(g: Channel, *, slack: float = OPTIMIZER_SLACK
         distance=distance,
         bound=bound,
         margin=bound - distance,
-        holds=distance <= bound + slack,
+        holds=distance <= bound + OPTIMIZER_SLACK,
     )
 
 
@@ -206,9 +174,7 @@ class TwoAxisReport:
     holds: bool
 
 
-def check_two_axis_identity_bound(
-    g: Channel, u, v, eps: float, *, slack: float = OPTIMIZER_SLACK
-) -> TwoAxisReport:
+def check_two_axis_identity_bound(g: Channel, u, v, eps: float) -> TwoAxisReport:
     """Check the two-axis identity bound for a CP map nearly fixing two axes.
 
     u and v must be orthogonal unit Bloch vectors.  The hypothesis deviation
@@ -242,7 +208,7 @@ def check_two_axis_identity_bound(
         distance=distance,
         bound=bound,
         margin=bound - distance,
-        holds=distance <= bound + slack,
+        holds=distance <= bound + OPTIMIZER_SLACK,
     )
 
 
@@ -265,7 +231,7 @@ class ChainProbeReport:
         return all(link.holds for link in self.links)
 
 
-def hadamard_robustness_probe(g: Channel, *, slack: float = OPTIMIZER_SLACK) -> ChainProbeReport:
+def hadamard_robustness_probe(g: Channel) -> ChainProbeReport:
     """Walk the sqrt-law argument for one candidate hadamard-like gate.
 
     From the measured equation violation eps, check the three quantitative
@@ -306,19 +272,19 @@ def hadamard_robustness_probe(g: Channel, *, slack: float = OPTIMIZER_SLACK) -> 
             "equator_image",
             equator_distance,
             10.0 * root,
-            equator_distance <= 10.0 * root + slack,
+            equator_distance <= 10.0 * root + OPTIMIZER_SLACK,
         ),
         ChainLink(
             "four_state_undo",
             four_state,
             19.0 * root,
-            four_state <= 19.0 * root + slack,
+            four_state <= 19.0 * root + OPTIMIZER_SLACK,
         ),
         ChainLink(
             "member_distance",
             distance,
             HADAMARD_ROBUSTNESS_COEFF * root,
-            distance <= HADAMARD_ROBUSTNESS_COEFF * root + slack,
+            distance <= HADAMARD_ROBUSTNESS_COEFF * root + OPTIMIZER_SLACK,
         ),
     )
     return ChainProbeReport(eps=eps, phi=phi, links=links)

@@ -262,8 +262,9 @@ def test_scan_geometric_grid_to_file(tmp_path, capsys):
     )
     assert code == EXIT_PASS
     assert out == ""
-    lines = target.read_text().splitlines()
-    assert len(lines) == 4
+    data = target.read_bytes()
+    assert b"\r" not in data
+    assert len(data.decode().splitlines()) == 4
 
 
 def test_parse_grid_forms():
@@ -388,6 +389,10 @@ MALFORMED_INPUTS = {
         {"kind": "unitary", "params": {"matrix": [[[1, 0], [None, 0]], [[0, 0], [1, 0]]]}},
         None,
     ),
+    "matrix-entry-overflow": (
+        {"kind": "unitary", "params": {"matrix": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+        None,
+    ),
     "kind-list": ({"kind": [1]}, None),
     "qubits-null": ({"kind": "measurement", "params": {"n": None}}, None),
     "qubits-negative": ({"kind": "measurement", "params": {"n": -1}}, None),
@@ -397,6 +402,19 @@ MALFORMED_INPUTS = {
     "spec-param-typo": ({"kind": "hadamard", "params": {"ph": 0.3}}, None),
     "spec-param-extra": ({"kind": "phase", "params": {"alpha": "pi", "phi": 0.1}}, None),
     "spec-param-missing": ({"kind": "unitary"}, None),
+    "spec-key-typo": (
+        {
+            "kind": "hadamard",
+            "params": {"phi": 0.3},
+            "nosie": [{"kind": "depolarize", "strength": 0.2}],
+        },
+        None,
+    ),
+    "noise-entry-extra-key": (
+        {"kind": "hadamard", "noise": [{"kind": "depolarize", "strength": 0.2, "qubit": 1}]},
+        None,
+    ),
+    "noise-entry-no-strength": ({"kind": "hadamard", "noise": [{"kind": "depolarize"}]}, None),
     "alpha-zero-den": (None, ["h-phase", "--alpha", "1/0pi"]),
     "alpha-pi-over-zero": (None, ["h-phase", "--alpha", "pi/0"]),
     "alpha-not-taken": (None, ["hadamard", "--alpha", "pi"]),

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -20,7 +19,6 @@ from gateselftest import (
     rotation_family,
     scan_csv_text,
     transpose_map,
-    write_scan_csv,
 )
 from gateselftest.roblab import SCAN_CSV_HEADER
 
@@ -99,6 +97,7 @@ def test_csv_golden_format():
 
 def test_csv_header_constant():
     assert SCAN_CSV_HEADER == "noise_kind,strength,epsilon,distance,bound,ratio"
+    assert scan_csv_text([]) == SCAN_CSV_HEADER + "\n"
 
 
 def test_csv_twelve_significant_digits():
@@ -106,21 +105,6 @@ def test_csv_twelve_significant_digits():
     text = scan_csv_text(records)
     assert "0.333333333333" in text
     assert "0.123456789012" in text
-
-
-def test_write_scan_csv_to_path(tmp_path):
-    records = [ScanRecord("depolarize", 0.1, 0.095, 0.1, None, None)]
-    target = tmp_path / "scan.csv"
-    write_scan_csv(records, target)
-    data = target.read_bytes()
-    assert data == scan_csv_text(records).encode()
-    assert b"\r" not in data
-
-
-def test_write_scan_csv_to_handle():
-    buf = io.StringIO()
-    write_scan_csv([], buf)
-    assert buf.getvalue() == SCAN_CSV_HEADER + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 ``bench/spans.py`` records spans by rebinding module attributes such as
 ``gateselftest.families.hadamard``.  Code that captures those functions by
 value (in a table built at import time, say) runs untraced, and the per-layer
-metrics silently read zero.  This runs one small ``check`` under the tracer.
+metrics silently read zero.  This runs one small ``check`` under the tracer and
+also pins how many norm evaluations ``dist_to_family`` makes.
 """
 
 import json
@@ -14,6 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import spans  # noqa: E402
 
 from gateselftest.cli import main  # noqa: E402
+from gateselftest.families import PHI_GRID_POINTS  # noqa: E402
 
 
 def test_tracer_records_every_family_layer(tmp_path, capsys):
@@ -41,3 +43,13 @@ def test_tracer_records_every_family_layer(tmp_path, capsys):
         "equations.family_equations",
     ):
         assert layer in names
+
+    # h-phase has one phi-dependent member (H) and one phi-independent member
+    # (the phase gate).  Per sign: one grid evaluation of H per grid point; one
+    # evaluation of the phase gate, reused for the final report; one of H per
+    # refinement step; and one final evaluation of H at the best phi.
+    metrics = {k: v for k, (v, _unit) in spans.layer_metrics(tracer.spans, 1).items()}
+    assert metrics["channel.sup_norm_report.grid.calls"] == 2 * PHI_GRID_POINTS
+    assert metrics["channel.sup_norm_report.refine.calls"] == (
+        metrics["families.minimize_scalar.nfev"] + 4
+    )
