@@ -256,13 +256,11 @@ def _angle(token) -> float:
 
 
 def _spec_qubits(value) -> int:
-    try:
-        n = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"qubit count must be an integer, got {value!r}") from None
-    if not 1 <= n <= MAX_SPEC_QUBITS:
-        raise ValueError(f"qubit count must lie in [1, {MAX_SPEC_QUBITS}], got {n}")
-    return n
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"qubit count must be an integer, got {value!r}")
+    if not 1 <= value <= MAX_SPEC_QUBITS:
+        raise ValueError(f"qubit count must lie in [1, {MAX_SPEC_QUBITS}], got {value}")
+    return value
 
 
 def standard_gate(label: str, /, **params) -> Channel:
@@ -541,10 +539,10 @@ def gate_from_spec(spec: dict) -> Channel:
     if unknown:
         raise ValueError(f"gate spec has unknown keys {sorted(unknown, key=str)}")
     kind = spec["kind"]
-    params = spec.get("params") or {}
+    params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ValueError("gate spec 'params' must be an object")
-    noise = spec.get("noise") or []
+    noise = spec.get("noise", [])
     if not isinstance(noise, list) or not all(isinstance(e, dict) for e in noise):
         raise ValueError("gate spec 'noise' must be a list of objects")
     for entry in noise:

@@ -31,15 +31,8 @@ EXIT_NUMERIC = 3
 
 
 def _family_from_args(args) -> Family:
-    kind = args.family
-    spec = FAMILIES[kind]
-    for flag, value, takes in (
-        ("--alpha", args.alpha, spec.takes_alpha),
-        ("--theta", args.theta, spec.takes_theta),
-    ):
-        if value is not None and not takes:
-            raise ValueError(f"family {kind!r} takes no {flag}")
-    alpha = spec.default_alpha
+    """The family the flags name; ``Family`` rejects a parameter it does not take."""
+    alpha = theta = None
     if args.alpha is not None:
         angle = parse_angle(args.alpha)
         if not angle.is_rational_pi:
@@ -48,14 +41,11 @@ def _family_from_args(args) -> Family:
                 f"got {args.alpha!r}"
             )
         alpha = angle.pi_fraction
-    elif spec.takes_alpha and alpha is None:
-        raise ValueError(f"family {kind!r} needs --alpha")
-    theta = None
-    if spec.takes_theta:
-        if args.theta is None:
-            raise ValueError(f"{kind} family needs --theta")
+    if args.theta is not None:
         theta = parse_angle(args.theta).radians
-    return Family(kind, alpha=alpha, theta=theta)
+    if alpha is None:
+        alpha = FAMILIES[args.family].default_alpha
+    return Family(args.family, alpha=alpha, theta=theta)
 
 
 def _load_gates(paths):

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from scipy.optimize import minimize_scalar
-
 from .channel import (
     Channel,
     cnot,
@@ -44,6 +42,11 @@ TWO_PI = 2.0 * math.pi
 # The phi search in dist_to_family: grid size and refinement tolerance.
 PHI_GRID_POINTS = 256
 PHI_TOL = 1e-6
+# Brent's bounded search: golden-section ratio, relative x tolerance and
+# evaluation cap, as in scipy's minimize_scalar(method="bounded").
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+_MAX_FEV = 500
 
 
 @dataclass(frozen=True)
@@ -240,6 +243,77 @@ class FamilyFit:
     converged: bool
 
 
+@dataclass(frozen=True)
+class ScalarMin:
+    """Where ``minimize_scalar`` stopped, and how many evaluations it made."""
+
+    x: float
+    nfev: int
+
+
+def minimize_scalar(func: Callable[[float], float], bounds) -> ScalarMin:
+    """Minimise func on the interval bounds to PHI_TOL in x.
+
+    Brent's bounded method (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 5): parabolic steps through the three best points where
+    they are acceptable, golden-section steps otherwise.  It makes the same
+    steps as scipy's ``minimize_scalar(method="bounded")`` with ``xatol`` set to
+    PHI_TOL, so it returns the same ``x`` after the same number of evaluations.
+    """
+    a, b = bounds
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = fnfc = ffulc = func(xf)
+    nfev = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + PHI_TOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a) and nfev < _MAX_FEV:
+        parabolic = False
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                parabolic = True
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if not parabolic:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        # A zero step of either sign goes up, as in scipy.
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0 else xf - step
+        fu = func(x)
+        nfev += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + PHI_TOL / 3.0
+        tol2 = 2.0 * tol1
+    return ScalarMin(xf, nfev)
+
+
 def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 0) -> FamilyFit:
     """Minimise the worst per-gate superoperator distance over the family.
 
@@ -286,13 +360,8 @@ def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 
         step = TWO_PI / PHI_GRID_POINTS
         grid_vals = [objective(j * step, starts=grid_starts) for j in range(PHI_GRID_POINTS)]
         j_best = min(range(PHI_GRID_POINTS), key=grid_vals.__getitem__)
-        res = minimize_scalar(
-            objective,
-            bounds=((j_best - 1) * step, (j_best + 1) * step),
-            method="bounded",
-            options={"xatol": PHI_TOL},
-        )
-        phi_star = float(res.x) % TWO_PI
+        res = minimize_scalar(objective, ((j_best - 1) * step, (j_best + 1) * step))
+        phi_star = res.x % TWO_PI
 
         final = static + [report(g, build, phi_star) for g, (build, dep) in pairs if dep]
         worst = max(r.value for r in final)

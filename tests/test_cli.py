@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +399,10 @@ MALFORMED_INPUTS = {
     "kind-list": ({"kind": [1]}, None),
     "qubits-null": ({"kind": "measurement", "params": {"n": None}}, None),
     "qubits-negative": ({"kind": "measurement", "params": {"n": -1}}, None),
+    "qubits-fraction": ({"kind": "measurement", "params": {"n": 1.9}}, None),
+    "qubits-bool": ({"kind": "measurement", "params": {"n": True}}, None),
+    "params-zero": ({"kind": "hadamard", "params": 0}, None),
+    "noise-empty-object": ({"kind": "hadamard", "noise": {}}, None),
     "spec-angle-zero-den": ({"kind": "hadamard", "params": {"phi": "1/0pi"}}, None),
     "spec-angle-pi-over-zero": ({"kind": "hadamard", "params": {"phi": "pi/0"}}, None),
     "spec-angle-inf": ({"kind": "hadamard", "params": {"phi": "inf"}}, None),
@@ -420,6 +427,8 @@ MALFORMED_INPUTS = {
     "alpha-not-taken": (None, ["hadamard", "--alpha", "pi"]),
     "theta-not-taken": (None, ["h-cnot", "--theta", "0.3"]),
     "theta-for-h-phase": (None, ["h-phase", "--alpha", "1/4pi", "--theta", "0.3"]),
+    "alpha-missing": (None, ["h-phase"]),
+    "theta-missing": (None, ["rotation", "--alpha", "1/3pi"]),
 }
 
 
@@ -435,6 +444,37 @@ def test_malformed_input_is_usage_error(capsys, gate_file, spec, family):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_check_runs_without_scipy(tmp_path):
+    # A fresh interpreter in which importing scipy fails: the package needs
+    # numpy alone at run time.
+    gates = []
+    for name, spec in (
+        ("h", {"kind": "hadamard", "params": {"phi": 0.4}}),
+        ("p", {"kind": "phase", "params": {"alpha": "1/4pi"}}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        gates += ["--gate", str(path)]
+    argv = ["check", "--family", "h-phase", "--alpha", "1/4pi", *gates]
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from gateselftest.cli import main\n"
+        f"code = main({argv!r})\n"
+        "loaded = [m for m, mod in sys.modules.items() if m.startswith('scipy') and mod]\n"
+        "assert code == 0, code\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = [src, os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["family"] == "h-phase(1/4pi)"
 
 
 def test_version_flag(capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from gateselftest import (
     triple_family,
 )
 from gateselftest.channel import cnot
+from gateselftest.families import PHI_TOL, minimize_scalar
 
 
 def test_family_kind_validation():
@@ -149,3 +151,31 @@ def test_dist_arity_checks():
         dist_to_family((hadamard(0.0),), h_not_family())
     with pytest.raises(ValueError):
         dist_to_family(measurement(2), hadamard_family())
+
+
+def test_minimize_scalar_matches_scipy_bounded():
+    # Seeded bounded problems: smooth, kinked, flat-floored, monotone, steps.
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(5)
+    for i in range(400):
+        lo = rng.uniform(-10.0, 10.0)
+        hi = lo + rng.choice([1e-7, 1e-4, 0.05, 1.0, 20.0]) * rng.random()
+        c = rng.uniform(lo - 1.0, hi + 1.0)
+        s = rng.uniform(0.1, 5.0)
+        floor = rng.uniform(-1.0, 1.0)
+        shapes = (
+            lambda x: s * (x - c) ** 2,
+            lambda x: s * abs(x - c),
+            lambda x: max(floor, s * (x - c) ** 2),
+            lambda x: s * x,
+            lambda x: -s * x,
+            lambda x: 0.0 if x < c else 1.0,
+            lambda x: math.sin(s * x) + 0.1 * (x - c) ** 2,
+            lambda x: 1.0,
+        )
+        func = shapes[i % len(shapes)]
+        ours = minimize_scalar(func, (lo, hi))
+        ref = optimize.minimize_scalar(
+            func, bounds=(lo, hi), method="bounded", options={"xatol": PHI_TOL}
+        )
+        assert (ours.x, ours.nfev) == (float(ref.x), ref.nfev), (i, lo, hi)
