@@ -132,7 +132,9 @@ def from_unitary(u, *, axis=None) -> Channel:
         raise ValueError("unitary entries must be finite")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"unitary must be square, got shape {arr.shape}")
-    defect = np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])).max()
+    # Huge finite entries overflow here; the defect check reports them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(arr.conj().T @ arr - np.eye(arr.shape[0])).max()
     if defect > 1e-10:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     vec = arr.T.reshape(-1)
@@ -149,8 +151,9 @@ def from_kraus(ops) -> Channel:
     d = mats[0].shape[0]
     if any(m.shape != (d, d) for m in mats):
         raise ValueError("Kraus operators must share one square shape")
-    total = sum(m.conj().T @ m for m in mats)
-    if np.abs(total - np.eye(d)).max() > 1e-10:
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(sum(m.conj().T @ m for m in mats) - np.eye(d)).max()
+    if defect > 1e-10:
         raise ValueError("Kraus operators do not sum to the identity (not TP)")
     choi = np.zeros((d * d, d * d), dtype=complex)
     for m in mats:

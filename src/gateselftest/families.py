@@ -314,6 +314,25 @@ def minimize_scalar(func: Callable[[float], float], bounds) -> ScalarMin:
     return ScalarMin(xf, nfev)
 
 
+def pruned_argmin(lower: list[float], value: Callable[[int], float]) -> tuple[int, float]:
+    """The lowest-index minimiser of value(j) over range(len(lower)), and its value.
+
+    Needs ``lower[j] <= value(j)`` at every j.  Points are visited in ascending
+    ``(lower[j], j)`` order, and the visit stops at the first point that can
+    neither beat the best value found so far nor tie it at a lower index; every
+    later point is then ruled out too.  So ``value`` runs only where it can
+    still matter, and the result is that of the full scan.
+    """
+    j_best, best = len(lower), math.inf
+    for j in sorted(range(len(lower)), key=lower.__getitem__):
+        if lower[j] > best or (lower[j] == best and j > j_best):
+            break
+        v = value(j)
+        if v < best or (v == best and j < j_best):
+            j_best, best = j, v
+    return j_best, best
+
+
 def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 0) -> FamilyFit:
     """Minimise the worst per-gate superoperator distance over the family.
 
@@ -327,6 +346,13 @@ def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 
     evaluations pass it as ``starts=`` by keyword, because ``bench/spans.py``
     reads its default and that keyword to tell grid evaluations from
     refinement ones.
+
+    The search is an exact branch-and-bound: every member's distance is a
+    lower bound on the worst one.  The 1-qubit phi-dependent members are
+    evaluated on the whole grid, the 2-qubit ones only at the grid points
+    ``pruned_argmin`` visits; and a sign whose phi-independent members are
+    already farther than the best fit so far is skipped.  The result is the
+    full search's, bit for bit.
     """
     if isinstance(gates, Channel):
         gates = (gates,)
@@ -335,36 +361,57 @@ def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 
         raise ValueError(
             f"family {family.label} has arity {family.arity}, got {len(gates)} gates"
         )
-    pairs = tuple(zip(gates, family.spec.members))
+    static = [(g, build) for g, (build, dep) in zip(gates, family.spec.members) if not dep]
+    moving = [(g, build) for g, (build, dep) in zip(gates, family.spec.members) if dep]
+    for gate, build in static + moving:
+        member = build(family, family.alpha_radians, 0.0)
+        if gate.n != member.n:
+            raise ValueError(
+                f"gate acts on {gate.n} qubits where the family member "
+                f"acts on {member.n}"
+            )
+    # Gate and member qubit counts agree from here on.
+    cheap = [(g, build) for g, build in moving if g.n == 1]
+    dear = [(g, build) for g, build in moving if g.n > 1]
+
+    def worst(alpha, phi, members, lower, **starts) -> float:
+        values = [
+            sup_norm_report(g, build(family, alpha, phi), seed=seed, **starts).value
+            for g, build in members
+        ]
+        return max([lower, *values])
+
+    statics = [
+        [sup_norm_report(g, build(family, sign * family.alpha_radians, 0.0), seed=seed)
+         for g, build in static]
+        for sign in family.signs
+    ]
+    floors = [max((r.value for r in reports), default=0.0) for reports in statics]
+    step = TWO_PI / PHI_GRID_POINTS
+    phis = [j * step for j in range(PHI_GRID_POINTS)]
 
     best: FamilyFit | None = None
-    for sign in family.signs:
+    best_index = 0
+    for index in sorted(range(len(family.signs)), key=floors.__getitem__):
+        if best is not None and floors[index] > best.distance:
+            break
+        sign, floor = family.signs[index], floors[index]
         alpha = sign * family.alpha_radians
-
-        def report(gate, build, phi, **starts):
-            member = build(family, alpha, phi)
-            if gate.n != member.n:
-                raise ValueError(
-                    f"gate acts on {gate.n} qubits where the family member "
-                    f"acts on {member.n}"
-                )
-            return sup_norm_report(gate, member, seed=seed, **starts)
-
-        static = [report(g, build, 0.0) for g, (build, dep) in pairs if not dep]
-        floor = max((r.value for r in static), default=0.0)
-
-        def objective(phi: float, **starts) -> float:
-            values = [report(g, build, phi, **starts).value for g, (build, dep) in pairs if dep]
-            return max([floor, *values])
-
-        step = TWO_PI / PHI_GRID_POINTS
-        grid_vals = [objective(j * step, starts=grid_starts) for j in range(PHI_GRID_POINTS)]
-        j_best = min(range(PHI_GRID_POINTS), key=grid_vals.__getitem__)
-        res = minimize_scalar(objective, ((j_best - 1) * step, (j_best + 1) * step))
+        lower = [worst(alpha, phi, cheap, floor, starts=grid_starts) for phi in phis]
+        j_best, _ = pruned_argmin(
+            lower, lambda j: worst(alpha, phis[j], dear, lower[j], starts=grid_starts)
+        )
+        res = minimize_scalar(
+            lambda phi: worst(alpha, phi, moving, floor),
+            ((j_best - 1) * step, (j_best + 1) * step),
+        )
         phi_star = res.x % TWO_PI
 
-        final = static + [report(g, build, phi_star) for g, (build, dep) in pairs if dep]
-        worst = max(r.value for r in final)
-        if best is None or worst < best.distance:
-            best = FamilyFit(worst, phi_star, sign, all(r.converged for r in final))
+        final = statics[index] + [
+            sup_norm_report(g, build(family, alpha, phi_star), seed=seed) for g, build in moving
+        ]
+        distance = max(r.value for r in final)
+        if best is None or (distance, index) < (best.distance, best_index):
+            best = FamilyFit(distance, phi_star, sign, all(r.converged for r in final))
+            best_index = index
     return best

@@ -446,6 +446,40 @@ def test_malformed_input_is_usage_error(capsys, gate_file, spec, family):
     assert err.startswith("error:")
 
 
+def fresh_env():
+    """Environment for a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = [src, os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [src]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+HUGE_MATRIX = [[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "unitary", "params": {"matrix": HUGE_MATRIX}},
+        {"kind": "kraus", "params": {"operators": [HUGE_MATRIX]}},
+    ],
+    ids=["unitary", "kraus"],
+)
+def test_overflowing_matrix_prints_only_the_error(gate_file, spec):
+    # A fresh interpreter, so that numpy's warnings reach stderr.
+    path = gate_file("big.json", spec)
+    result = subprocess.run(
+        [sys.executable, "-m", "gateselftest.cli", "check", "--family", "hadamard",
+         "--gate", path],
+        capture_output=True,
+        text=True,
+        env=fresh_env(),
+    )
+    assert result.returncode == EXIT_USAGE
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+
 def test_check_runs_without_scipy(tmp_path):
     # A fresh interpreter in which importing scipy fails: the package needs
     # numpy alone at run time.
@@ -467,11 +501,8 @@ def test_check_runs_without_scipy(tmp_path):
         "assert code == 0, code\n"
         "assert not loaded, loaded\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = [src, os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [src]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env()
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["family"] == "h-phase(1/4pi)"

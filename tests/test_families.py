@@ -21,7 +21,7 @@ from gateselftest import (
     rotation_gate,
     triple_family,
 )
-from gateselftest.channel import cnot
+from gateselftest.channel import NoiseModel, apply_noise, cnot
 from gateselftest.families import PHI_TOL, minimize_scalar
 
 
@@ -144,6 +144,31 @@ def test_dist_phase_component_ignores_phi():
     fit = dist_to_family(gates, fam)
     expected = 2.0 * math.sin(0.1)  # distance between the two phase gates
     assert fit.distance == pytest.approx(expected, abs=1e-4)
+
+
+def _depolarized(gates, lam):
+    return tuple(apply_noise(g, NoiseModel("depolarize", lam)) for g in gates)
+
+
+def test_dist_depolarized_h_cnot_member():
+    # The pruned search finds the noisy member's own phi; depolarising noise of
+    # strength lam puts the CNOT (the worse gate) at 1.5 lam.
+    lam, phi = 0.05, 1.3
+    fit = dist_to_family(_depolarized((hadamard(phi), cnot(phi)), lam), h_cnot_family())
+    assert fit.distance == pytest.approx(1.5 * lam, abs=1e-9)
+    assert abs(fit.phi - phi) <= PHI_TOL
+    assert fit.sign == 1
+    assert fit.converged
+
+
+def test_dist_depolarized_triple_member_with_negative_sign():
+    lam, phi = 0.04, 4.0
+    gates = _depolarized((hadamard(phi), phase_gate(-math.pi / 4.0), cnot(phi)), lam)
+    fit = dist_to_family(gates, triple_family())
+    assert fit.distance == pytest.approx(1.5 * lam, abs=1e-9)
+    assert abs(fit.phi - phi) <= PHI_TOL
+    assert fit.sign == -1
+    assert fit.converged
 
 
 def test_dist_arity_checks():

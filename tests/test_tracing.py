@@ -3,7 +3,7 @@
 ``bench/spans.py`` records spans by rebinding module attributes such as
 ``gateselftest.families.hadamard``.  Code that captures those functions by
 value (in a table built at import time, say) runs untraced, and the per-layer
-metrics silently read zero.  This runs one small ``check`` under the tracer and
+metrics silently read zero.  This runs small ``check``s under the tracer and
 also pins how many norm evaluations ``dist_to_family`` makes.
 """
 
@@ -18,24 +18,36 @@ from gateselftest.cli import main  # noqa: E402
 from gateselftest.families import PHI_GRID_POINTS  # noqa: E402
 
 
-def test_tracer_records_every_family_layer(tmp_path, capsys):
+def traced_check(tmp_path, capsys, family, specs):
+    """Run ``check`` under the tracer; return its spans and per-layer metrics."""
     gates = []
-    for name, spec in (
-        ("h", {"kind": "hadamard", "params": {"phi": 0.4}}),
-        ("p", {"kind": "phase", "params": {"alpha": "1/4pi"}}),
-    ):
-        path = tmp_path / f"{name}.json"
+    for index, spec in enumerate(specs):
+        path = tmp_path / f"gate{index}.json"
         path.write_text(json.dumps(spec))
         gates += ["--gate", str(path)]
     tracer = spans.Tracer()
     tracer.install()
     try:
-        code = main(["check", "--family", "h-phase", "--alpha", "1/4pi", *gates])
+        code = main(["check", "--family", *family, *gates])
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert code == 0
-    names = {span[0] for span in tracer.spans}
+    metrics = {k: v for k, (v, _unit) in spans.layer_metrics(tracer.spans, 1).items()}
+    return tracer.spans, metrics
+
+
+def test_tracer_records_every_family_layer(tmp_path, capsys):
+    traced, metrics = traced_check(
+        tmp_path,
+        capsys,
+        ["h-phase", "--alpha", "1/4pi"],
+        [
+            {"kind": "hadamard", "params": {"phi": 0.4}},
+            {"kind": "phase", "params": {"alpha": "1/4pi"}},
+        ],
+    )
+    names = {span[0] for span in traced}
     for layer in (
         "channel.member",
         "channel.sup_norm_report",
@@ -45,11 +57,51 @@ def test_tracer_records_every_family_layer(tmp_path, capsys):
         assert layer in names
 
     # h-phase has one phi-dependent member (H) and one phi-independent member
-    # (the phase gate).  Per sign: one grid evaluation of H per grid point; one
-    # evaluation of the phase gate, reused for the final report; one of H per
-    # refinement step; and one final evaluation of H at the best phi.
-    metrics = {k: v for k, (v, _unit) in spans.layer_metrics(tracer.spans, 1).items()}
+    # (the phase gate).  Both signs evaluate the phase gate once.  The sign +1
+    # member matches it exactly, so the sign -1 phase distance already exceeds
+    # the best fit and that sign is skipped.  The sign +1 search makes one grid
+    # evaluation of H per grid point, one of H per refinement step and one
+    # final evaluation of H at the best phi.
+    assert metrics["channel.sup_norm_report.grid.calls"] == PHI_GRID_POINTS
+    assert metrics["channel.sup_norm_report.refine.calls"] == (
+        metrics["families.minimize_scalar.nfev"] + 3
+    )
+
+
+def test_tracer_counts_both_signs_when_neither_is_ruled_out(tmp_path, capsys):
+    # phase(pi) and phase(-pi) are the same gate, so both signs share the
+    # phase distance and both are searched in full.
+    _, metrics = traced_check(
+        tmp_path,
+        capsys,
+        ["h-phase", "--alpha", "1pi"],
+        [
+            {"kind": "hadamard", "params": {"phi": 0.4}},
+            {"kind": "phase", "params": {"alpha": "pi"}},
+        ],
+    )
     assert metrics["channel.sup_norm_report.grid.calls"] == 2 * PHI_GRID_POINTS
     assert metrics["channel.sup_norm_report.refine.calls"] == (
         metrics["families.minimize_scalar.nfev"] + 4
     )
+
+
+def test_two_qubit_grid_evaluations_are_pruned(tmp_path, capsys):
+    # H is evaluated on the whole grid; CNOT only where H's distance leaves
+    # room for a better fit.
+    noise = [{"kind": "depolarize", "strength": 0.05}]
+    traced, metrics = traced_check(
+        tmp_path,
+        capsys,
+        ["h-cnot"],
+        [
+            {"kind": "hadamard", "params": {"phi": 2.5}, "noise": noise},
+            {"kind": "cnot", "params": {"phi": 2.5}, "noise": noise},
+        ],
+    )
+    norms = [s[5] for s in traced if s[0] == "channel.sup_norm_report"]
+    grid_n1 = sum(1 for a in norms if a["n"] == 1 and a["starts"] is not None)
+    grid_n2 = sum(1 for a in norms if a["n"] == 2 and a["starts"] is not None)
+    assert grid_n1 == PHI_GRID_POINTS
+    assert 1 <= grid_n2 <= 16
+    assert metrics["channel.sup_norm_report.grid.calls"] == grid_n1 + grid_n2
