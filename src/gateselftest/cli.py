@@ -28,6 +28,9 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+# Most noise strengths one scan takes: every point is a full family-distance
+# search, and a count beyond this would only allocate a grid that never finishes.
+MAX_SCAN_POINTS = 10_000
 
 
 def _family_from_args(args) -> Family:
@@ -73,14 +76,24 @@ def _emit(payload: dict, out_path: str | None) -> None:
     _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
 
 
+def _check_scan_points(count: int) -> None:
+    if not 1 <= count <= MAX_SCAN_POINTS:
+        raise ValueError(f"a scan grid takes 1 to {MAX_SCAN_POINTS} points, got {count}")
+
+
 def _parse_grid(text: str):
-    if text.startswith("geom:"):
-        lo, hi, count = text[len("geom:"):].split(":")
-        return np.geomspace(float(lo), float(hi), int(count)).tolist()
+    """Noise strengths from a comma list, 'lo:hi:n' or 'geom:lo:hi:n'.
+
+    The point count is checked before any array is built.
+    """
     if ":" in text:
-        lo, hi, count = text.split(":")
-        return np.linspace(float(lo), float(hi), int(count)).tolist()
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+        spacing = np.geomspace if text.startswith("geom:") else np.linspace
+        lo, hi, count = text.removeprefix("geom:").split(":")
+        _check_scan_points(int(count))
+        return spacing(float(lo), float(hi), int(count)).tolist()
+    grid = [float(tok) for tok in text.split(",") if tok.strip()]
+    _check_scan_points(len(grid))
+    return grid
 
 
 def _cmd_equations(args) -> int:

@@ -23,6 +23,7 @@ from .channel import (
     phase_gate,
     rotation_gate,
     sup_norm_report,
+    sup_norm_values,
 )
 from .equations import (
     EquationSet,
@@ -42,6 +43,9 @@ TWO_PI = 2.0 * math.pi
 # The phi search in dist_to_family: grid size and refinement tolerance.
 PHI_GRID_POINTS = 256
 PHI_TOL = 1e-6
+# The 1-qubit grid evaluations run GRID_BLOCK phis per grouped ascent, which
+# bounds the stack's peak memory.
+GRID_BLOCK = 16
 # Brent's bounded search: golden-section ratio, relative x tolerance and
 # evaluation cap, as in scipy's minimize_scalar(method="bounded").
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -349,10 +353,11 @@ def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 
 
     The search is an exact branch-and-bound: every member's distance is a
     lower bound on the worst one.  The 1-qubit phi-dependent members are
-    evaluated on the whole grid, the 2-qubit ones only at the grid points
-    ``pruned_argmin`` visits; and a sign whose phi-independent members are
-    already farther than the best fit so far is skipped.  The result is the
-    full search's, bit for bit.
+    evaluated on the whole grid, GRID_BLOCK phis per ``sup_norm_values``
+    stack (the same values as per-call ``sup_norm_report``), the 2-qubit ones
+    only at the grid points ``pruned_argmin`` visits; and a sign whose
+    phi-independent members are already farther than the best fit so far is
+    skipped.  The result is the full search's, bit for bit.
     """
     if isinstance(gates, Channel):
         gates = (gates,)
@@ -397,7 +402,15 @@ def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 
             break
         sign, floor = family.signs[index], floors[index]
         alpha = sign * family.alpha_radians
-        lower = [worst(alpha, phi, cheap, floor, starts=grid_starts) for phi in phis]
+        k, lower = len(cheap), []
+        for first in range(0, PHI_GRID_POINTS, GRID_BLOCK):
+            block = phis[first:first + GRID_BLOCK]
+            values = sup_norm_values(
+                [(g, build(family, alpha, phi)) for phi in block for g, build in cheap],
+                starts=grid_starts,
+                seed=seed,
+            )
+            lower += [max([floor, *values[i * k:(i + 1) * k]]) for i in range(len(block))]
         j_best, _ = pruned_argmin(
             lower, lambda j: worst(alpha, phis[j], dear, lower[j], starts=grid_starts)
         )

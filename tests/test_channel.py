@@ -559,3 +559,95 @@ def test_gate_from_spec_caps_qubit_count():
         with pytest.raises(ValueError):
             gate_from_spec(spec)
     assert gate_from_spec({"kind": "measurement", "params": {"n": 2}}).n == 2
+
+
+# ---------------------------------------------------------------------------
+# 2 x 2 closed-form polar factor and the grouped ascent
+
+
+def _two_by_two_cases():
+    rng = np.random.default_rng(41)
+
+    def ginibre():
+        return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+
+    def vec():
+        return rng.normal(size=2) + 1j * rng.normal(size=2)
+
+    cases = [("random", ginibre()) for _ in range(20)]
+    cases += [("rank-one", np.outer(vec(), vec().conj())) for _ in range(20)]
+    cases += [
+        ("near-singular", np.outer(vec(), vec().conj()) + scale * ginibre())
+        for scale in (1e-6, 1e-9, 1e-12, 1e-15)
+    ]
+    cases += [("diagonal rank-one", np.diag([0.7, 0.0]).astype(complex))]
+    return cases
+
+
+@pytest.mark.parametrize("label, m", _two_by_two_cases())
+def test_closed_form_polar_factor_matches_svd(label, m):
+    from gateselftest.channel import _polar
+
+    t, w = _polar(m[None])
+    t, w = float(t[0]), w[0]
+    sing = np.linalg.svd(m, compute_uv=False)
+    assert abs(t - sing.sum()) <= 1e-14 * sing.sum()
+    assert np.abs(w.conj().T @ w - np.eye(2)).max() <= 1e-14
+    p = w.conj().T @ m
+    assert np.abs(p - p.conj().T).max() <= 1e-14 * sing.sum()
+    assert np.linalg.eigvalsh((p + p.conj().T) / 2.0).min() >= -1e-14 * sing.sum()
+
+
+def test_closed_form_polar_factor_of_zero_is_finite():
+    from gateselftest.channel import _polar
+
+    t, w = _polar(np.zeros((3, 2, 2), dtype=complex))
+    assert (t == 0.0).all()
+    assert np.isfinite(w).all()
+    assert np.abs(w.conj().transpose(0, 2, 1) @ w - np.eye(2)).max() <= 1e-14
+
+
+def _iterations(monkeypatch, g, h, starts):
+    """Ascent iterations of one per-call evaluation (one polar step each)."""
+    from gateselftest import channel
+
+    count = [0]
+    polar = channel._polar
+
+    def counted(m):
+        count[0] += 1
+        return polar(m)
+
+    monkeypatch.setattr(channel, "_polar", counted)
+    sup_norm_report(g, h, starts=starts)
+    monkeypatch.setattr(channel, "_polar", polar)
+    return count[0]
+
+
+def test_grouped_values_equal_per_call_values_bit_for_bit(monkeypatch):
+    from gateselftest.channel import ASCENT_MAX_ITER, sup_norm_values
+
+    phi0, starts, seed = 0.7, 16, 5
+    quick = apply_noise(hadamard(phi0), NoiseModel("depolarize", 0.03))
+    capped = apply_noise(hadamard(phi0), NoiseModel("amplitude_damp", 0.05))
+    # The stack mixes groups that stop early, groups at the iteration cap and
+    # a zero difference (the exact member at phi0).
+    phis = [phi0] + [j * 2.0 * math.pi / 12 for j in range(12)]
+    assert _iterations(monkeypatch, quick, hadamard(phis[4]), starts) < ASCENT_MAX_ITER
+    assert _iterations(monkeypatch, capped, hadamard(phis[4]), starts) == ASCENT_MAX_ITER
+    pairs = [(g, hadamard(phi)) for phi in phis for g in (quick, capped, hadamard(phi0))]
+    per_call = [sup_norm_report(g, h, starts=starts, seed=seed).value for g, h in pairs]
+    assert per_call[2] == 0.0
+    for block in (1, 7, 16, len(pairs)):
+        grouped = []
+        for first in range(0, len(pairs), block):
+            grouped += sup_norm_values(pairs[first:first + block], starts=starts, seed=seed)
+        assert grouped == per_call, block
+
+
+def test_grouped_values_need_one_qubit_count():
+    from gateselftest.channel import sup_norm_values
+
+    assert sup_norm_values([]) == []
+    with pytest.raises(ValueError):
+        sup_norm_values([(hadamard(0.1), hadamard(0.2)), (cnot(0.1), cnot(0.2))])

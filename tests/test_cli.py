@@ -12,6 +12,7 @@ from gateselftest.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
+    MAX_SCAN_POINTS,
     _parse_grid,
     main,
 )
@@ -276,6 +277,31 @@ def test_parse_grid_forms():
     assert lin == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     geom = _parse_grid("geom:0.001:0.1:3")
     assert geom == pytest.approx([0.001, 0.01, 0.1])
+    assert len(_parse_grid(f"geom:0.001:0.1:{MAX_SCAN_POINTS}")) == MAX_SCAN_POINTS
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ",",
+        "0.1:0.2:0",
+        "geom:0.01:0.1:0",
+        f"0.1:0.2:{MAX_SCAN_POINTS + 1}",
+        # Rejected before any array is built, so this allocates nothing.
+        "geom:0.01:0.1:100000000",
+        ",".join(["0.1"] * (MAX_SCAN_POINTS + 1)),
+    ],
+    ids=[
+        "empty-list", "linear-zero", "geom-zero", "linear-over-cap", "geom-huge", "list-over-cap"
+    ],
+)
+def test_scan_grid_out_of_range_is_usage_error(capsys, grid):
+    code, out, err = run_cli(
+        capsys, "scan", "--family", "hadamard", "--noise", "depolarize", "--grid", grid
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: a scan grid takes 1 to ")
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,18 @@ def test_dist_depolarized_triple_member_with_negative_sign():
     assert fit.converged
 
 
+def test_grid_block_does_not_change_the_fit(monkeypatch):
+    # h-not has two 1-qubit phi-dependent members, so each block stacks two
+    # pairs per phi; the fit must not depend on how the grid is cut.
+    from gateselftest import families
+
+    gates = _depolarized((hadamard(2.2), not_gate(2.2)), 0.03)
+    expected = dist_to_family(gates, h_not_family())
+    for block in (1, 7, families.PHI_GRID_POINTS):
+        monkeypatch.setattr(families, "GRID_BLOCK", block)
+        assert dist_to_family(gates, h_not_family()) == expected, block
+
+
 def test_dist_arity_checks():
     with pytest.raises(ValueError):
         dist_to_family((hadamard(0.0),), h_not_family())

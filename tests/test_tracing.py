@@ -59,12 +59,17 @@ def test_tracer_records_every_family_layer(tmp_path, capsys):
     # h-phase has one phi-dependent member (H) and one phi-independent member
     # (the phase gate).  Both signs evaluate the phase gate once.  The sign +1
     # member matches it exactly, so the sign -1 phase distance already exceeds
-    # the best fit and that sign is skipped.  The sign +1 search makes one grid
-    # evaluation of H per grid point, one of H per refinement step and one
-    # final evaluation of H at the best phi.
-    assert metrics["channel.sup_norm_report.grid.calls"] == PHI_GRID_POINTS
+    # the best fit and that sign is skipped.  The sign +1 search evaluates H on
+    # the grid in grouped ascents (``sup_norm_values``, no per-call span), then
+    # once per refinement step and once at the best phi.
+    assert metrics["channel.sup_norm_report.grid.calls"] == 0
     assert metrics["channel.sup_norm_report.refine.calls"] == (
         metrics["families.minimize_scalar.nfev"] + 3
+    )
+    # Members built: both gates for the up-front qubit check, the phase gate
+    # per sign, H per grid point, per refinement step and at the best phi.
+    assert metrics["channel.member.calls"] == (
+        2 + 2 + PHI_GRID_POINTS + metrics["families.minimize_scalar.nfev"] + 1
     )
 
 
@@ -80,14 +85,15 @@ def test_tracer_counts_both_signs_when_neither_is_ruled_out(tmp_path, capsys):
             {"kind": "phase", "params": {"alpha": "pi"}},
         ],
     )
-    assert metrics["channel.sup_norm_report.grid.calls"] == 2 * PHI_GRID_POINTS
+    assert metrics["channel.sup_norm_report.grid.calls"] == 0
     assert metrics["channel.sup_norm_report.refine.calls"] == (
         metrics["families.minimize_scalar.nfev"] + 4
     )
 
 
 def test_two_qubit_grid_evaluations_are_pruned(tmp_path, capsys):
-    # H is evaluated on the whole grid; CNOT only where H's distance leaves
+    # H is evaluated on the whole grid, in grouped ascents that make no
+    # per-call span; CNOT one call at a time, only where H's distance leaves
     # room for a better fit.
     noise = [{"kind": "depolarize", "strength": 0.05}]
     traced, metrics = traced_check(
@@ -102,6 +108,6 @@ def test_two_qubit_grid_evaluations_are_pruned(tmp_path, capsys):
     norms = [s[5] for s in traced if s[0] == "channel.sup_norm_report"]
     grid_n1 = sum(1 for a in norms if a["n"] == 1 and a["starts"] is not None)
     grid_n2 = sum(1 for a in norms if a["n"] == 2 and a["starts"] is not None)
-    assert grid_n1 == PHI_GRID_POINTS
+    assert grid_n1 == 0
     assert 1 <= grid_n2 <= 16
     assert metrics["channel.sup_norm_report.grid.calls"] == grid_n1 + grid_n2
