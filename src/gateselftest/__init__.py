@@ -28,7 +28,6 @@ from .channel import (
     rank_one_sample_max,
     rotation_gate,
     standard_gate,
-    sup_norm_distance,
     sup_norm_report,
     tensor_channels,
     transpose_map,

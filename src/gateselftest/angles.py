@@ -36,10 +36,12 @@ def parse_angle(token) -> Angle:
 
     Numeric input passes through as plain radians.  Rational-pi forms keep the
     exact fraction so callers can do period arithmetic without float error.
-    Zero denominators, overflow, infinities and NaN raise ValueError.
+    Zero denominators, overflow, infinities, NaN and booleans raise ValueError.
     """
     if isinstance(token, Angle):
         return token
+    if isinstance(token, bool):
+        raise ValueError(f"angle {token!r} is not a number")
     try:
         angle = _parse(token)
     except (ZeroDivisionError, OverflowError):

@@ -38,6 +38,8 @@ SPREAD_FLAG_TOL = 1e-4
 # value moved by more than ASCENT_TOL * max(1, best value) in one iteration.
 ASCENT_MAX_ITER = 200
 ASCENT_TOL = 1e-13
+# rank_one_sample_max draws its rank-one operators in chunks of this many.
+SAMPLE_CHUNK = 4096
 # Largest gate a spec may describe: a 4-qubit Choi matrix is 256 x 256.
 MAX_SPEC_QUBITS = 4
 
@@ -112,11 +114,11 @@ class Channel:
         return f"Channel(n={self.n}, cp={self.is_cp}, tp={self.is_tp})"
 
 
-def _channel_from_transfer(transfer: np.ndarray, axis=None) -> Channel:
+def _channel_from_transfer(transfer: np.ndarray) -> Channel:
     d2 = transfer.shape[0]
     d = math.isqrt(d2)
     choi = transfer.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d2, d2)
-    return Channel(choi, axis=axis)
+    return Channel(choi)
 
 
 def identity(n: int = 1) -> Channel:
@@ -298,6 +300,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if isinstance(self.strength, bool):
+            raise ValueError(f"noise strength must be a number, got {self.strength!r}")
         try:
             s = float(self.strength)
         except (TypeError, OverflowError):
@@ -393,11 +397,15 @@ def _ascent_starts(dim: int, count: int, seed: int) -> tuple[np.ndarray, np.ndar
     return u, v
 
 
-def _trace_norm_batch(m: np.ndarray) -> np.ndarray:
+def _svd(m: np.ndarray, compute_uv: bool = True):
     try:
-        return np.linalg.svd(m, compute_uv=False).sum(axis=-1)
+        return np.linalg.svd(m, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericsError("SVD did not converge inside the norm optimiser") from exc
+
+
+def _trace_norm_batch(m: np.ndarray) -> np.ndarray:
+    return _svd(m, compute_uv=False).sum(axis=-1)
 
 
 def _images(delta: np.ndarray, u, v) -> np.ndarray:
@@ -421,10 +429,7 @@ def _polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     det M = 0, and M = 0 gets the identity.  Larger matrices use the SVD.
     """
     if m.shape[-1] != 2:
-        try:
-            uu, sing, vh = np.linalg.svd(m)
-        except np.linalg.LinAlgError as exc:
-            raise NumericsError("SVD did not converge inside the norm optimiser") from exc
+        uu, sing, vh = _svd(m)
         return sing.sum(axis=-1), uu @ vh
     f = np.ascontiguousarray(m).reshape(*m.shape[:-2], 4)
     det = f[..., 0] * f[..., 3] - f[..., 1] * f[..., 2]
@@ -450,21 +455,25 @@ def _unit_rows(x: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return np.where(ok[..., None], x / np.where(ok, norm, 1.0)[..., None], fallback)
 
 
-def _ascent(delta: np.ndarray, u, v):
+def _ascent(delta: np.ndarray, starts: int, seed: int):
     """Monotone alternating maximisation of ||Delta_g(u v*)||_1 for a stack of groups.
 
-    ``delta`` holds G transfer matrices, ``u`` and ``v`` the B starts of each
-    group, shape (G, B, d).  Alternates the exact solutions of the three
-    partial problems: the dual unitary W (polar factor of the image), then the
-    left and right vectors (each a normalised linear functional).  Every step
-    is closed-form, so the objective value never decreases between
-    iterations.  A group stops once none of its own starts moved by more than
-    ASCENT_TOL in one iteration, and leaves the stack; the others run on
-    unchanged, so a group's result does not depend on what it is stacked with.
-    Returns the final values (G, B) and vectors.
+    ``delta`` holds G transfer matrices, and every group begins from the same
+    B starts: the basis pairs plus ``starts`` seeded random pairs.  Alternates
+    the exact solutions of the three partial problems: the dual unitary W
+    (polar factor of the image), then the left and right vectors (each a
+    normalised linear functional).  Every step is closed-form, so the
+    objective value never decreases between iterations.  A group stops once
+    none of its own starts moved by more than ASCENT_TOL in one iteration,
+    and leaves the stack; the others run on unchanged, so a group's result
+    does not depend on what it is stacked with.
+    Returns the final values (G, B) and vectors (G, B, d).
     """
-    g, b, d = u.shape
-    u_out, v_out = np.empty_like(u), np.empty_like(v)
+    d = math.isqrt(delta.shape[-1])
+    u0, v0 = _ascent_starts(d, starts, seed)
+    g, b = len(delta), len(u0)
+    u, v = np.broadcast_to(u0, (g, b, d)), np.broadcast_to(v0, (g, b, d))
+    u_out, v_out = np.empty(u.shape, complex), np.empty(v.shape, complex)
     run, live = np.arange(g), delta
     vals = np.zeros((g, b))
     for _ in range(ASCENT_MAX_ITER):
@@ -499,12 +508,10 @@ def sup_norm_report(
     """
     if h is not None and g.n != h.n:
         raise ValueError(f"cannot compare channels on {g.n} and {h.n} qubits")
-    d = g.dim
     delta = g.transfer if h is None else g.transfer - h.transfer
     if np.abs(delta).max() < 1e-14:
         return SupNormResult(0.0, 0.0, True)
-    u0, v0 = _ascent_starts(d, starts, seed)
-    vals, u, v = _ascent(delta[None], u0[None], v0[None])
+    vals, u, v = _ascent(delta[None], starts, seed)
     vals, u, v = vals[0], u[0], v[0]
     best = int(np.argmax(vals))
     value = float(vals[best])
@@ -526,21 +533,10 @@ def sup_norm_values(pairs, *, starts: int = 64, seed: int = 0) -> list[float]:
     deltas = [g.transfer - h.transfer for g, h in pairs]
     live = [i for i, delta in enumerate(deltas) if not np.abs(delta).max() < 1e-14]
     if live:
-        u0, v0 = _ascent_starts(pairs[0][0].dim, starts, seed)
-        shape = (len(live),) + u0.shape
-        vals, _, _ = _ascent(
-            np.stack([deltas[i] for i in live]),
-            np.broadcast_to(u0, shape).copy(),
-            np.broadcast_to(v0, shape).copy(),
-        )
+        vals, _, _ = _ascent(np.stack([deltas[i] for i in live]), starts, seed)
         for i, value in zip(live, vals.max(axis=1)):
             values[i] = float(value)
     return values
-
-
-def sup_norm_distance(g: Channel, h: Channel | None = None, **kwargs) -> float:
-    """Induced trace-norm distance ||G - H|| (or the norm ||G|| when H is None)."""
-    return sup_norm_report(g, h, **kwargs).value
 
 
 def rank_one_sample_max(
@@ -549,7 +545,6 @@ def rank_one_sample_max(
     *,
     samples: int = 100_000,
     seed: int = 987,
-    chunk: int = 4096,
 ) -> float:
     """Independent dense-sampling lower bound on the superoperator norm.
 
@@ -564,7 +559,7 @@ def rank_one_sample_max(
     best = 0.0
     remaining = samples
     while remaining > 0:
-        b = min(chunk, remaining)
+        b = min(SAMPLE_CHUNK, remaining)
         remaining -= b
         u = rng.normal(size=(b, d)) + 1j * rng.normal(size=(b, d))
         v = rng.normal(size=(b, d)) + 1j * rng.normal(size=(b, d))
@@ -590,6 +585,8 @@ def _complex_matrix(entries) -> np.ndarray:
         raise ValueError("matrix entries must be finite numbers") from None
     if arr.ndim != 3 or arr.shape[-1] != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix entries must be a square grid of [re, im] pairs")
+    if any(isinstance(x, bool) for x in np.asarray(entries, dtype=object).flat):
+        raise ValueError("matrix entries must be numbers, not booleans")
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -340,24 +340,19 @@ def pruned_argmin(lower: list[float], value: Callable[[int], float]) -> tuple[in
 def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 0) -> FamilyFit:
     """Minimise the worst per-gate superoperator distance over the family.
 
-    A coarse grid of PHI_GRID_POINTS longitudes, each evaluated with
-    ``grid_starts`` multistarts, is followed by a bounded scalar refinement of
-    the best bracket down to PHI_TOL with ``sup_norm_report``'s full number
-    of starts; sign choices are enumerated.  Members that do not depend on phi
-    are evaluated once per sign.  The reported distance and ``converged`` come
-    from full-start evaluations at the returned member, so the distance is a
-    certified lower bound there.  ``grid_starts`` stays a parameter, and grid
-    evaluations pass it as ``starts=`` by keyword, because ``bench/spans.py``
-    reads its default and that keyword to tell grid evaluations from
-    refinement ones.
+    Per sign, a grid of PHI_GRID_POINTS longitudes picks the bracket that a
+    bounded scalar search refines to PHI_TOL.  The distance and ``converged``
+    come from full-start evaluations at the returned member, so the distance
+    is a certified lower bound there.
 
-    The search is an exact branch-and-bound: every member's distance is a
-    lower bound on the worst one.  The 1-qubit phi-dependent members are
-    evaluated on the whole grid, GRID_BLOCK phis per ``sup_norm_values``
-    stack (the same values as per-call ``sup_norm_report``), the 2-qubit ones
-    only at the grid points ``pruned_argmin`` visits; and a sign whose
-    phi-independent members are already farther than the best fit so far is
-    skipped.  The result is the full search's, bit for bit.
+    Every member's distance is a lower bound on the worst one, so the signs
+    (bounded by their phi-independent members) and the grid points (bounded
+    by their 1-qubit members) are both searched by ``pruned_argmin``, and the
+    result is the full search's, bit for bit.  The 1-qubit grid runs
+    GRID_BLOCK phis per ``sup_norm_values`` stack, which bounds its memory.
+    ``grid_starts`` stays a parameter, and grid evaluations pass it as
+    ``starts=`` by keyword, because ``bench/spans.py`` reads its default and
+    that keyword to tell grid evaluations from refinement ones.
     """
     if isinstance(gates, Channel):
         gates = (gates,)
@@ -379,27 +374,22 @@ def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 
     cheap = [(g, build) for g, build in moving if g.n == 1]
     dear = [(g, build) for g, build in moving if g.n > 1]
 
-    def worst(alpha, phi, members, lower, **starts) -> float:
-        values = [
-            sup_norm_report(g, build(family, alpha, phi), seed=seed, **starts).value
+    def reports(alpha, phi, members, **starts) -> list:
+        return [
+            sup_norm_report(g, build(family, alpha, phi), seed=seed, **starts)
             for g, build in members
         ]
-        return max([lower, *values])
 
-    statics = [
-        [sup_norm_report(g, build(family, sign * family.alpha_radians, 0.0), seed=seed)
-         for g, build in static]
-        for sign in family.signs
-    ]
-    floors = [max((r.value for r in reports), default=0.0) for reports in statics]
+    def worst(floor, found) -> float:
+        return max([floor, *(r.value for r in found)])
+
+    statics = [reports(sign * family.alpha_radians, 0.0, static) for sign in family.signs]
+    floors = [worst(0.0, found) for found in statics]
     step = TWO_PI / PHI_GRID_POINTS
     phis = [j * step for j in range(PHI_GRID_POINTS)]
+    fits: dict[int, FamilyFit] = {}
 
-    best: FamilyFit | None = None
-    best_index = 0
-    for index in sorted(range(len(family.signs)), key=floors.__getitem__):
-        if best is not None and floors[index] > best.distance:
-            break
+    def fit(index) -> float:
         sign, floor = family.signs[index], floors[index]
         alpha = sign * family.alpha_radians
         k, lower = len(cheap), []
@@ -412,19 +402,17 @@ def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 
             )
             lower += [max([floor, *values[i * k:(i + 1) * k]]) for i in range(len(block))]
         j_best, _ = pruned_argmin(
-            lower, lambda j: worst(alpha, phis[j], dear, lower[j], starts=grid_starts)
+            lower, lambda j: worst(lower[j], reports(alpha, phis[j], dear, starts=grid_starts))
         )
         res = minimize_scalar(
-            lambda phi: worst(alpha, phi, moving, floor),
+            lambda phi: worst(floor, reports(alpha, phi, moving)),
             ((j_best - 1) * step, (j_best + 1) * step),
         )
         phi_star = res.x % TWO_PI
-
-        final = statics[index] + [
-            sup_norm_report(g, build(family, alpha, phi_star), seed=seed) for g, build in moving
-        ]
+        final = statics[index] + reports(alpha, phi_star, moving)
         distance = max(r.value for r in final)
-        if best is None or (distance, index) < (best.distance, best_index):
-            best = FamilyFit(distance, phi_star, sign, all(r.converged for r in final))
-            best_index = index
-    return best
+        fits[index] = FamilyFit(distance, phi_star, sign, all(r.converged for r in final))
+        return distance
+
+    index, _ = pruned_argmin(floors, fit)
+    return fits[index]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import affine_of_channel, from_bloch, to_bloch
-from .channel import Channel, NoiseModel, apply_noise, compose, hadamard, identity, sup_norm_distance
+from .channel import Channel, NoiseModel, apply_noise, compose, hadamard, identity, sup_norm_report
 from .equations import EquationSet, max_violation
 from .families import (
     Family,
@@ -131,15 +131,31 @@ def fit_exponent(records) -> ExponentFit:
     return ExponentFit(c=float(np.exp(intercept)), k_inv=float(slope), residual=rms, points=len(eps))
 
 
+class _BoundCheck:
+    """``margin`` and ``holds`` of a measured value against its proven bound.
+
+    ``_MEASURED`` names the attribute that holds the measured value; ``holds``
+    allows OPTIMIZER_SLACK for the numerical optimiser on top of the bound.
+    """
+
+    _MEASURED = "distance"
+
+    @property
+    def margin(self) -> float:
+        return self.bound - getattr(self, self._MEASURED)
+
+    @property
+    def holds(self) -> bool:
+        return getattr(self, self._MEASURED) <= self.bound + OPTIMIZER_SLACK
+
+
 @dataclass(frozen=True)
-class SixStateReport:
+class SixStateReport(_BoundCheck):
     """Bound check: all six axis states moved by <= eps forces ||G - I|| <= 8 eps."""
 
     eps: float
     distance: float
     bound: float
-    margin: float
-    holds: bool
 
 
 def check_six_state_identity_bound(g: Channel) -> SixStateReport:
@@ -150,19 +166,12 @@ def check_six_state_identity_bound(g: Channel) -> SixStateReport:
         trace_norm(g.apply_matrix(state.matrix) - state.matrix)
         for state in zeta_states()
     )
-    distance = sup_norm_distance(g, identity(1))
-    bound = SIX_STATE_IDENTITY_COEFF * eps
-    return SixStateReport(
-        eps=eps,
-        distance=distance,
-        bound=bound,
-        margin=bound - distance,
-        holds=distance <= bound + OPTIMIZER_SLACK,
-    )
+    distance = sup_norm_report(g, identity(1)).value
+    return SixStateReport(eps, distance, SIX_STATE_IDENTITY_COEFF * eps)
 
 
 @dataclass(frozen=True)
-class TwoAxisReport:
+class TwoAxisReport(_BoundCheck):
     """Bound check: +-u, +-v nearly fixed forces ||G - I|| <= 241 eps."""
 
     requested_eps: float
@@ -170,8 +179,6 @@ class TwoAxisReport:
     hypothesis_met: bool
     distance: float
     bound: float
-    margin: float
-    holds: bool
 
 
 def check_two_axis_identity_bound(g: Channel, u, v, eps: float) -> TwoAxisReport:
@@ -199,25 +206,22 @@ def check_two_axis_identity_bound(g: Channel, u, v, eps: float) -> TwoAxisReport
     )
     hypothesis_met = effective <= eps + 1e-12
     used = eps if hypothesis_met else effective
-    distance = sup_norm_distance(g, identity(1))
-    bound = TWO_AXIS_IDENTITY_COEFF * used
     return TwoAxisReport(
         requested_eps=eps,
         effective_eps=effective,
         hypothesis_met=hypothesis_met,
-        distance=distance,
-        bound=bound,
-        margin=bound - distance,
-        holds=distance <= bound + OPTIMIZER_SLACK,
+        distance=sup_norm_report(g, identity(1)).value,
+        bound=TWO_AXIS_IDENTITY_COEFF * used,
     )
 
 
 @dataclass(frozen=True)
-class ChainLink:
+class ChainLink(_BoundCheck):
+    _MEASURED = "value"
+
     name: str
     value: float
     bound: float
-    holds: bool
 
 
 @dataclass(frozen=True)
@@ -265,26 +269,11 @@ def hadamard_robustness_probe(g: Channel) -> ChainProbeReport:
     four_state = max(
         trace_norm(undone.apply_matrix(p.matrix) - p.matrix) for p in probes
     )
-    distance = sup_norm_distance(g, member)
+    distance = sup_norm_report(g, member).value
 
     links = (
-        ChainLink(
-            "equator_image",
-            equator_distance,
-            10.0 * root,
-            equator_distance <= 10.0 * root + OPTIMIZER_SLACK,
-        ),
-        ChainLink(
-            "four_state_undo",
-            four_state,
-            19.0 * root,
-            four_state <= 19.0 * root + OPTIMIZER_SLACK,
-        ),
-        ChainLink(
-            "member_distance",
-            distance,
-            HADAMARD_ROBUSTNESS_COEFF * root,
-            distance <= HADAMARD_ROBUSTNESS_COEFF * root + OPTIMIZER_SLACK,
-        ),
+        ChainLink("equator_image", equator_distance, 10.0 * root),
+        ChainLink("four_state_undo", four_state, 19.0 * root),
+        ChainLink("member_distance", distance, HADAMARD_ROBUSTNESS_COEFF * root),
     )
     return ChainProbeReport(eps=eps, phi=phi, links=links)

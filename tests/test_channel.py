@@ -23,7 +23,6 @@ from gateselftest import (
     rotation_gate,
     rotation_unitary,
     standard_gate,
-    sup_norm_distance,
     sup_norm_report,
     tensor,
     tensor_channels,
@@ -381,20 +380,20 @@ def test_sup_norm_of_difference_transpose_identity():
 def test_sup_norm_depolarize_distance_is_strength():
     for lam in (0.05, 0.1, 0.5):
         g = apply_noise(hadamard(0.0), NoiseModel("depolarize", lam))
-        assert sup_norm_distance(g, hadamard(0.0)) == pytest.approx(lam, abs=1e-9)
+        assert sup_norm_report(g, hadamard(0.0)).value == pytest.approx(lam, abs=1e-9)
 
 
 def test_sup_norm_of_cptp_channel_is_one():
     rng = np.random.default_rng(30)
     for _ in range(5):
         g = random_cptp(rng, n=1)
-        assert sup_norm_distance(g) == pytest.approx(1.0, abs=1e-9)
+        assert sup_norm_report(g).value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_phase_gate_distance_to_identity():
     # closed form: || diag(1, e^{i d}) conjugation - id || = 2 sin(d/2)
     for d in (0.3, 1.0, 2.0):
-        assert sup_norm_distance(phase_gate(d), identity(1)) == pytest.approx(
+        assert sup_norm_report(phase_gate(d), identity(1)).value == pytest.approx(
             2.0 * math.sin(d / 2.0), abs=1e-9
         )
 
@@ -402,22 +401,22 @@ def test_phase_gate_distance_to_identity():
 def test_sup_norm_symmetry():
     rng = np.random.default_rng(31)
     g, h = random_cptp(rng, n=1), random_cptp(rng, n=1)
-    assert sup_norm_distance(g, h) == pytest.approx(sup_norm_distance(h, g), abs=1e-9)
+    assert sup_norm_report(g, h).value == pytest.approx(sup_norm_report(h, g).value, abs=1e-9)
 
 
 def test_sup_norm_triangle_inequality():
     rng = np.random.default_rng(32)
     g, h, k = (random_cptp(rng, n=1) for _ in range(3))
-    gk = sup_norm_distance(g, k)
-    assert gk <= sup_norm_distance(g, h) + sup_norm_distance(h, k) + 2e-3
+    gk = sup_norm_report(g, k).value
+    assert gk <= sup_norm_report(g, h).value + sup_norm_report(h, k).value + 2e-3
 
 
 def test_sup_norm_invariant_under_unitary_postcomposition():
     rng = np.random.default_rng(33)
     g, h = random_cptp(rng, n=1), random_cptp(rng, n=1)
     u = from_unitary(random_unitary(rng, 2))
-    before = sup_norm_distance(g, h)
-    after = sup_norm_distance(compose(u, g), compose(u, h))
+    before = sup_norm_report(g, h).value
+    after = sup_norm_report(compose(u, g), compose(u, h)).value
     assert after == pytest.approx(before, abs=2e-3)
 
 
@@ -425,7 +424,7 @@ def test_sup_norm_beats_independent_sampling():
     rng = np.random.default_rng(34)
     for _ in range(3):
         g, h = random_cptp(rng, n=1), random_cptp(rng, n=1)
-        optimised = sup_norm_distance(g, h)
+        optimised = sup_norm_report(g, h).value
         sampled = rank_one_sample_max(g, h, samples=20000, seed=rng.integers(1 << 31))
         assert optimised >= sampled - 1e-6
 
@@ -449,12 +448,12 @@ def test_two_antipodal_fixed_states_leave_norm_large():
     g = phase_gate(1.0)
     for pole in (DensityMatrix.basis("0"), DensityMatrix.basis("1")):
         assert np.abs(g.apply(pole).matrix - pole.matrix).max() <= 1e-12
-    assert sup_norm_distance(g, identity(1)) >= 0.9
+    assert sup_norm_report(g, identity(1)).value >= 0.9
 
 
 def test_two_qubit_sup_norm():
-    assert sup_norm_distance(cnot(0.0), identity(2)) >= 1.0
-    assert sup_norm_distance(cnot(0.0), cnot(0.0)) == 0.0
+    assert sup_norm_report(cnot(0.0), identity(2)).value >= 1.0
+    assert sup_norm_report(cnot(0.0), cnot(0.0)).value == 0.0
 
 
 def test_two_qubit_maximiser_reproduces_value():
@@ -474,7 +473,7 @@ def test_two_qubit_sup_norm_beats_independent_sampling():
     rng = np.random.default_rng(37)
     for _ in range(3):
         g, h = random_cptp(rng, n=2), random_cptp(rng, n=2)
-        optimised = sup_norm_distance(g, h)
+        optimised = sup_norm_report(g, h).value
         sampled = rank_one_sample_max(g, h, samples=20000, seed=rng.integers(1 << 31))
         assert optimised >= sampled - 1e-6
 
@@ -492,7 +491,7 @@ def test_six_axis_states_control_distance_to_identity():
         eps = max(
             trace_norm(g.apply_matrix(s.matrix) - s.matrix) for s in zeta_states()
         )
-        assert sup_norm_distance(g, identity(1)) <= 8.0 * eps + 2e-3
+        assert sup_norm_report(g, identity(1)).value <= 8.0 * eps + 2e-3
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,15 @@ MALFORMED_INPUTS = {
     "qubits-negative": ({"kind": "measurement", "params": {"n": -1}}, None),
     "qubits-fraction": ({"kind": "measurement", "params": {"n": 1.9}}, None),
     "qubits-bool": ({"kind": "measurement", "params": {"n": True}}, None),
+    "angle-bool": ({"kind": "hadamard", "params": {"phi": True}}, None),
+    "strength-bool": (
+        {"kind": "hadamard", "noise": [{"kind": "depolarize", "strength": True}]},
+        None,
+    ),
+    "matrix-entry-bool": (
+        {"kind": "unitary", "params": {"matrix": [[[True, 0], [0, 0]], [[0, 0], [True, 0]]]}},
+        None,
+    ),
     "params-zero": ({"kind": "hadamard", "params": 0}, None),
     "noise-empty-object": ({"kind": "hadamard", "noise": {}}, None),
     "spec-angle-zero-den": ({"kind": "hadamard", "params": {"phi": "1/0pi"}}, None),
@@ -470,6 +479,7 @@ def test_malformed_input_is_usage_error(capsys, gate_file, spec, family):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error:")
+    assert err.count("\n") == 1
 
 
 def fresh_env():

@@ -183,6 +183,51 @@ def test_grid_block_does_not_change_the_fit(monkeypatch):
         assert dist_to_family(gates, h_not_family()) == expected, block
 
 
+def _full_scan(lower, value):
+    values = [value(j) for j in range(len(lower))]
+    j = min(range(len(values)), key=lambda j: (values[j], j))
+    return j, values[j]
+
+
+@pytest.mark.parametrize(
+    "family, gates",
+    [
+        (
+            h_phase_family(1, 4),
+            _depolarized((hadamard(0.7), phase_gate(math.pi / 4.0)), 0.03),
+        ),
+        (
+            h_phase_family(1, 4),
+            _depolarized((hadamard(2.5), phase_gate(-math.pi / 4.0)), 0.02),
+        ),
+        # alpha = pi: phase(pi) and phase(-pi) are one gate, so the two signs
+        # have equal floors.
+        (h_phase_family(1, 1), _depolarized((hadamard(0.2), phase_gate(math.pi)), 0.01)),
+        (
+            h_not_family(),
+            (
+                apply_noise(hadamard(1.1), NoiseModel("depolarize", 0.04)),
+                apply_noise(not_gate(1.1), NoiseModel("amplitude_damp", 0.03)),
+            ),
+        ),
+        # No static member: both floors are 0, and only the second sign fits.
+        (
+            rotation_family(1, 3, 0.9),
+            _depolarized((rotation_gate(-math.pi / 3.0, 0.9, 1.4),), 0.02),
+        ),
+    ],
+    ids=["h-phase-plus", "h-phase-minus", "h-phase-pi-tie", "h-not", "rotation-minus"],
+)
+def test_pruned_search_equals_the_full_search(monkeypatch, family, gates):
+    # Both levels of the branch-and-bound (signs, then grid points) against
+    # a scan that evaluates every sign and every grid point.
+    from gateselftest import families
+
+    pruned = dist_to_family(gates, family)
+    monkeypatch.setattr(families, "pruned_argmin", _full_scan)
+    assert dist_to_family(gates, family) == pruned
+
+
 def test_dist_arity_checks():
     with pytest.raises(ValueError):
         dist_to_family((hadamard(0.0),), h_not_family())
