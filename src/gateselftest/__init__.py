@@ -48,13 +48,7 @@ from .families import (
     HADAMARD_ROBUSTNESS_COEFF,
     dist_to_family,
     family_equations,
-    h_cnot_family,
-    h_not_family,
-    h_phase_family,
-    hadamard_family,
     member_gates,
-    rotation_family,
-    triple_family,
 )
 from .oracle import Oracle
 from .qstate import (

@@ -335,33 +335,32 @@ def apply_noise(g: Channel, model: NoiseModel) -> Channel:
 
     overrotate shares the gate's rotation axis when that axis is known and
     falls back to a per-qubit z-axis phase otherwise; phase_drift conjugates
-    the gate by a per-qubit z-axis phase.
+    the gate by a per-qubit z-axis phase, which moves its axis by the drift.
+    Every kind keeps the axis, so a later overrotate still turns about it.
     """
     s = model.strength
+    axis = g.axis
     if model.kind == "depolarize":
-        return compose(_depolarizing(g.n, s), g)
-    if model.kind == "overrotate":
-        if g.axis is not None:
-            theta, phi = g.axis
-            rot = rotation_gate(s, theta, phi)
-            noisy = compose(rot, g)
-            return Channel(noisy.choi, axis=g.axis)
-        return compose(_per_qubit(phase_gate(s), g.n), g)
-    if model.kind == "phase_drift":
+        noisy = compose(_depolarizing(g.n, s), g)
+    elif model.kind == "overrotate":
+        rot = rotation_gate(s, *axis) if axis is not None else _per_qubit(phase_gate(s), g.n)
+        noisy = compose(rot, g)
+    elif model.kind == "phase_drift":
         fwd = _per_qubit(phase_gate(s), g.n)
         back = _per_qubit(phase_gate(-s), g.n)
-        drifted = compose(fwd, compose(g, back))
-        if g.axis is not None:
-            theta, phi = g.axis
-            return Channel(drifted.choi, axis=(theta, phi + s))
-        return drifted
-    damp = from_kraus(
-        [
-            np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - s)]], dtype=complex),
-            np.array([[0.0, math.sqrt(s)], [0.0, 0.0]], dtype=complex),
-        ]
-    )
-    return compose(_per_qubit(damp, g.n), g)
+        noisy = compose(fwd, compose(g, back))
+        if axis is not None:
+            axis = (axis[0], axis[1] + s)
+    else:
+        damp = from_kraus(
+            [
+                np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - s)]], dtype=complex),
+                np.array([[0.0, math.sqrt(s)], [0.0, 0.0]], dtype=complex),
+            ]
+        )
+        noisy = compose(_per_qubit(damp, g.n), g)
+    noisy.axis = axis
+    return noisy
 
 
 # ----------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from . import __version__
 from .angles import parse_angle
 from .channel import NOISE_KINDS, gate_from_spec, sup_norm_report
 from .equations import max_violation
-from .families import FAMILIES, FAMILY_KINDS, Family, dist_to_family, family_equations
+from .families import FAMILIES, Family, dist_to_family, family_equations
 from .oracle import Oracle
 from .qstate import NumericsError
 from .roblab import noise_scan, scan_csv_text
@@ -34,7 +34,9 @@ MAX_SCAN_POINTS = 10_000
 
 
 def _family_from_args(args) -> Family:
-    """The family the flags name; ``Family`` rejects a parameter it does not take."""
+    """The family the flags name; ``Family`` applies the default alpha and rejects
+    a parameter it does not take.
+    """
     alpha = theta = None
     if args.alpha is not None:
         angle = parse_angle(args.alpha)
@@ -46,8 +48,6 @@ def _family_from_args(args) -> Family:
         alpha = angle.pi_fraction
     if args.theta is not None:
         theta = parse_angle(args.theta).radians
-    if alpha is None:
-        alpha = FAMILIES[args.family].default_alpha
     return Family(args.family, alpha=alpha, theta=theta)
 
 
@@ -170,7 +170,7 @@ def _cmd_distance(args) -> int:
 
 
 def _add_family_options(sub) -> None:
-    sub.add_argument("--family", required=True, choices=FAMILY_KINDS)
+    sub.add_argument("--family", required=True, choices=tuple(FAMILIES))
     sub.add_argument("--alpha", help="angle token, e.g. 'pi', '2/3pi', '0.7854'")
     sub.add_argument("--theta", help="latitude token for the rotation family")
 

@@ -60,7 +60,8 @@ class FamilySpec:
     ``members`` holds ``(build, phi_dependent)`` per gate, in tuple order, where
     ``build(family, alpha, phi)`` gets the signed angle in radians;
     ``equations(family)`` lists the defining equations.  Families that take an
-    alpha have both angle signs as members.
+    alpha have both angle signs as members (one at alpha = pi), and
+    ``Family`` applies ``default_alpha`` when it is given none.
     """
 
     members: tuple[tuple[Callable[[Family, float, float], Channel], bool], ...]
@@ -112,7 +113,6 @@ FAMILIES = {
         default_alpha=Fraction(1, 4),
     ),
 }
-FAMILY_KINDS = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,10 @@ class Family:
         if spec is None:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if spec.takes_alpha:
-            if self.alpha is None:
+            alpha = spec.default_alpha if self.alpha is None else self.alpha
+            if alpha is None:
                 raise ValueError(f"family {self.kind!r} needs an alpha fraction of pi")
-            frac = Fraction(self.alpha)
+            frac = Fraction(alpha)
             if not 0 < frac <= 1:
                 raise ValueError(f"alpha must satisfy 0 < alpha <= pi, got {frac}*pi")
             object.__setattr__(self, "alpha", frac)
@@ -184,31 +185,9 @@ class Family:
 
     @property
     def signs(self) -> tuple[int, ...]:
-        return (1, -1) if self.spec.takes_alpha else (1,)
-
-
-def hadamard_family() -> Family:
-    return Family("hadamard")
-
-
-def rotation_family(a: int, b: int, theta: float) -> Family:
-    return Family("rotation", alpha=Fraction(a, b), theta=theta)
-
-
-def h_not_family() -> Family:
-    return Family("h-not")
-
-
-def h_phase_family(a: int, b: int) -> Family:
-    return Family("h-phase", alpha=Fraction(a, b))
-
-
-def h_cnot_family() -> Family:
-    return Family("h-cnot")
-
-
-def triple_family(a: int = 1, b: int = 4) -> Family:
-    return Family("h-phase-cnot", alpha=Fraction(a, b))
+        # phase(pi) and phase(-pi) are one channel, as are R(pi) and R(-pi),
+        # so alpha = pi has one sign.
+        return (1, -1) if self.spec.takes_alpha and self.alpha != 1 else (1,)
 
 
 def family_equations(family: Family) -> EquationSet:

@@ -67,10 +67,7 @@ class Oracle:
 
     def query(self, eq: ExperimentalEquation) -> int:
         """One run of the experiment: 1 iff the designated outcome occurred."""
-        key = _equation_key(eq)
-        p = self._prob(eq, key)
-        self.query_count += 1
-        return int(self._stream(key).random() < p)
+        return int(self.estimate(eq, 1))
 
     def estimate(self, eq: ExperimentalEquation, samples: int) -> float:
         """Empirical outcome frequency over the given number of fresh runs."""

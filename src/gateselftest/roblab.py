@@ -23,7 +23,6 @@ from .families import (
     HADAMARD_ROBUSTNESS_COEFF,
     dist_to_family,
     family_equations,
-    hadamard_family,
     member_gates,
     sqrt_law_radius,
 )
@@ -245,7 +244,7 @@ def hadamard_robustness_probe(g: Channel) -> ChainProbeReport:
     """
     if g.n != 1:
         raise ValueError(f"the hadamard family lives on one qubit, got n={g.n}")
-    eqset: EquationSet = family_equations(hadamard_family())
+    eqset: EquationSet = family_equations(Family("hadamard"))
     eps = max_violation(eqset, (g,))
     root = math.sqrt(eps)
 

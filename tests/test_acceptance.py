@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from gateselftest import (
+    Family,
     Oracle,
     affine_of_channel,
     check_six_state_identity_bound,
@@ -23,11 +24,7 @@ from gateselftest import (
     family_equations,
     from_bloch,
     from_unitary,
-    h_cnot_family,
-    h_not_family,
-    h_phase_family,
     hadamard,
-    hadamard_family,
     max_violation,
     measurement,
     member_gates,
@@ -36,12 +33,10 @@ from gateselftest import (
     power,
     probability_term,
     rho_of,
-    rotation_family,
     rotation_gate,
     run_tester,
     to_bloch,
     trace_norm,
-    triple_family,
     violation_bound_from_distance,
     z_k,
 )
@@ -67,12 +62,12 @@ def random_state_params(rng):
 
 
 BUILTIN_FAMILIES = (
-    hadamard_family(),
-    rotation_family(2, 3, 1.0),
-    h_not_family(),
-    h_phase_family(1, 4),
-    h_cnot_family(),
-    triple_family(),
+    Family("hadamard"),
+    Family("rotation", alpha="2/3", theta=1.0),
+    Family("h-not"),
+    Family("h-phase", alpha="1/4"),
+    Family("h-cnot"),
+    Family("h-phase-cnot"),
 )
 
 
@@ -152,14 +147,14 @@ def test_criterion_03_family_characterisations():
                 violation = max_violation(eqset, member_gates(family, float(phi), sign))
                 worst_member = max(worst_member, violation)
 
-    meas_violation = max_violation(family_equations(hadamard_family()), measurement(1))
+    meas_violation = max_violation(family_equations(Family("hadamard")), measurement(1))
     swap = from_unitary(
         np.array(
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
         )
     )
     swap_violation = max_violation(
-        family_equations(h_cnot_family()), (hadamard(0.0), swap)
+        family_equations(Family("h-cnot")), (hadamard(0.0), swap)
     )
     ok = worst_member <= 1e-9 and meas_violation >= 0.25 and swap_violation >= 0.25
     report(
@@ -176,7 +171,7 @@ def test_criterion_04_epr_decomposition():
 
 
 def test_criterion_05_tester_completeness():
-    eqset = family_equations(hadamard_family())
+    eqset = family_equations(Family("hadamard"))
     rng = np.random.default_rng(105)
     start = time.monotonic()
     passes = 0
@@ -190,7 +185,7 @@ def test_criterion_05_tester_completeness():
 
 
 def test_criterion_06_tester_soundness():
-    eqset = family_equations(hadamard_family())
+    eqset = family_equations(Family("hadamard"))
     fails = sum(
         not run_tester(Oracle(measurement(1), seed), eqset, eps=0.05).passed
         for seed in range(100)
@@ -215,7 +210,7 @@ def test_criterion_07_query_complexity():
 
 @pytest.fixture(scope="module")
 def hadamard_noise_scans():
-    fam = hadamard_family()
+    fam = Family("hadamard")
     records = []
     records += noise_scan(fam, "depolarize", np.geomspace(1.0e-4, 0.106, 12))
     records += noise_scan(fam, "overrotate", np.geomspace(0.01415, 0.465, 12))
@@ -245,7 +240,7 @@ def test_criterion_08_sqrt_law_bound(hadamard_noise_scans):
 
 
 def test_criterion_09_violation_from_distance(hadamard_noise_scans):
-    eqset = family_equations(hadamard_family())
+    eqset = family_equations(Family("hadamard"))
     assert eqset.k_max == 2
     worst_excess = 0.0
     for r in hadamard_noise_scans:

@@ -33,7 +33,7 @@ from gateselftest import (
     zeta_states,
 )
 from gateselftest.bloch import affine_of_channel
-from gateselftest.channel import MAX_SPEC_QUBITS
+from gateselftest.channel import MAX_SPEC_QUBITS, NOISE_KINDS
 
 from helpers import (
     choi_of_kraus,
@@ -344,6 +344,25 @@ def test_phase_drift_shifts_hadamard_longitude():
     g = apply_noise(hadamard(0.3), NoiseModel("phase_drift", s))
     assert g.is_close(hadamard(0.3 + s))
     assert g.axis == (math.pi / 4.0, 0.3 + s)
+
+
+@pytest.mark.parametrize("kind", NOISE_KINDS)
+def test_every_noise_kind_keeps_the_axis(kind):
+    s = 0.2
+    g = apply_noise(hadamard(0.3), NoiseModel(kind, s))
+    shift = s if kind == "phase_drift" else 0.0
+    assert g.axis == (math.pi / 4.0, 0.3 + shift)
+
+
+def test_depolarize_and_overrotate_commute():
+    # Depolarising commutes with every unitary, so the order of the two noise
+    # entries must not matter: both overrotate about H's own axis.
+    gate = hadamard(0.3)
+    dep, over = NoiseModel("depolarize", 0.05), NoiseModel("overrotate", 0.2)
+    first = apply_noise(apply_noise(gate, dep), over)
+    second = apply_noise(apply_noise(gate, over), dep)
+    assert first.is_close(second)
+    assert first.is_close(apply_noise(rotation_gate(math.pi + 0.2, math.pi / 4.0, 0.3), dep))
 
 
 def test_phase_drift_fixes_diagonal_gates():

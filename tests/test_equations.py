@@ -8,14 +8,11 @@ from gateselftest import (
     Embedding,
     EquationSet,
     ExperimentalEquation,
+    Family,
     Step,
     family_equations,
     from_unitary,
-    h_cnot_family,
-    h_not_family,
-    h_phase_family,
     hadamard,
-    hadamard_family,
     max_violation,
     measurement,
     member_gates,
@@ -23,9 +20,7 @@ from gateselftest import (
     not_gate,
     phase_gate,
     probability_term,
-    rotation_family,
     rotation_unitary,
-    triple_family,
     z_k,
 )
 
@@ -83,7 +78,7 @@ def test_equation_set_invariants():
 
 
 def test_json_roundtrip():
-    eqset = family_equations(h_phase_family(1, 4))
+    eqset = family_equations(Family("h-phase", alpha="1/4"))
     again = EquationSet.from_json(eqset.to_json())
     assert again == eqset
     payload = json.loads(eqset.to_json())
@@ -191,7 +186,7 @@ def test_probability_term_dimension_checks():
 def test_max_violation_measurement_vs_hadamard_equations():
     # the basis measurement satisfies both squared equations but misses the
     # half-way point of the single application by exactly one half
-    eqset = family_equations(hadamard_family())
+    eqset = family_equations(Family("hadamard"))
     assert max_violation(eqset, measurement(1)) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -244,12 +239,12 @@ def test_z_k_matches_matrix_powers():
 
 def test_equation_set_shapes():
     cases = [
-        (hadamard_family(), 3, 2),
-        (rotation_family(2, 3, 1.0), 4, 3),
-        (h_not_family(), 7, 4),
-        (h_phase_family(1, 4), 7, 10),
-        (h_cnot_family(), 12, 4),
-        (triple_family(), 16, 10),
+        (Family("hadamard"), 3, 2),
+        (Family("rotation", alpha="2/3", theta=1.0), 4, 3),
+        (Family("h-not"), 7, 4),
+        (Family("h-phase", alpha="1/4"), 7, 10),
+        (Family("h-cnot"), 12, 4),
+        (Family("h-phase-cnot"), 16, 10),
     ]
     for family, d, k_max in cases:
         eqset = family_equations(family)
@@ -259,7 +254,7 @@ def test_equation_set_shapes():
 
 
 def test_hadamard_equation_constants():
-    eqs = family_equations(hadamard_family()).equations
+    eqs = family_equations(Family("hadamard")).equations
     assert [(e.w, e.v, e.r, e.size) for e in eqs] == [
         ("0", "0", 0.5, 1),
         ("0", "0", 1.0, 2),
@@ -268,7 +263,7 @@ def test_hadamard_equation_constants():
 
 
 def test_rotation_equation_constants():
-    fam = rotation_family(1, 2, 0.7)
+    fam = Family("rotation", alpha="1/2", theta=0.7)
     eqs = family_equations(fam).equations
     # order equation first: R^4 applied to |1> never returns to |0>
     assert eqs[0].size == 4 and eqs[0].w == "1" and eqs[0].r == 0.0
@@ -279,12 +274,12 @@ def test_rotation_equation_constants():
 
 def test_members_satisfy_their_equations():
     cases = [
-        hadamard_family(),
-        rotation_family(1, 3, 0.8),
-        h_not_family(),
-        h_phase_family(1, 4),
-        h_cnot_family(),
-        triple_family(),
+        Family("hadamard"),
+        Family("rotation", alpha="1/3", theta=0.8),
+        Family("h-not"),
+        Family("h-phase", alpha="1/4"),
+        Family("h-cnot"),
+        Family("h-phase-cnot"),
     ]
     for family in cases:
         eqset = family_equations(family)
@@ -301,7 +296,7 @@ def test_impostor_violations_are_large():
         )
     )
     assert max_violation(
-        family_equations(h_cnot_family()), (hadamard(0.0), swap)
+        family_equations(Family("h-cnot")), (hadamard(0.0), swap)
     ) == pytest.approx(1.0, abs=1e-12)
     # a measured-then-flipped gate keeps the NOT truth table but fails the
     # interference equations
@@ -309,9 +304,9 @@ def test_impostor_violations_are_large():
 
     fake_not = compose(not_gate(0.0), measurement(1))
     assert max_violation(
-        family_equations(h_not_family()), (measurement(1), fake_not)
+        family_equations(Family("h-not")), (measurement(1), fake_not)
     ) >= 0.25
     assert max_violation(
-        family_equations(h_phase_family(1, 4)),
+        family_equations(Family("h-phase", alpha="1/4")),
         (measurement(1), phase_gate(math.pi / 4.0)),
     ) == pytest.approx(0.5, abs=1e-12)

@@ -8,20 +8,14 @@ import pytest
 from gateselftest import (
     Family,
     dist_to_family,
-    h_cnot_family,
-    h_not_family,
-    h_phase_family,
     hadamard,
-    hadamard_family,
     measurement,
     member_gates,
     not_gate,
     phase_gate,
-    rotation_family,
     rotation_gate,
-    triple_family,
 )
-from gateselftest.channel import NoiseModel, apply_noise, cnot
+from gateselftest.channel import NoiseModel, apply_noise, cnot, sup_norm_report
 from gateselftest.families import PHI_TOL, minimize_scalar
 
 
@@ -40,62 +34,71 @@ def test_family_kind_validation():
 
 def test_alpha_range():
     with pytest.raises(ValueError):
-        h_phase_family(3, 2)  # alpha > pi
+        Family("h-phase", alpha="3/2")  # alpha > pi
     with pytest.raises(ValueError):
-        rotation_family(0, 1, 0.5)
-    assert h_phase_family(1, 1).alpha == 1
+        Family("rotation", alpha="0", theta=0.5)
+    assert Family("h-phase", alpha="1").alpha == 1
 
 
 def test_rotation_excludes_the_not_point():
     # alpha = pi at the equator is the NOT gate, handled by its own pair family
     with pytest.raises(ValueError):
-        rotation_family(1, 1, math.pi / 2.0)
+        Family("rotation", alpha="1", theta=math.pi / 2.0)
     # nearby parameters are fine
-    assert rotation_family(1, 1, 1.0).theta == 1.0
-    assert rotation_family(1, 2, math.pi / 2.0).alpha == Fraction(1, 2)
+    assert Family("rotation", alpha="1", theta=1.0).theta == 1.0
+    assert Family("rotation", alpha="1/2", theta=math.pi / 2.0).alpha == Fraction(1, 2)
 
 
 def test_theta_range():
     with pytest.raises(ValueError):
-        rotation_family(1, 3, 0.0)
+        Family("rotation", alpha="1/3", theta=0.0)
     with pytest.raises(ValueError):
-        rotation_family(1, 3, 2.0)  # beyond the equator
+        Family("rotation", alpha="1/3", theta=2.0)  # beyond the equator
 
 
 def test_arity_and_signs():
-    assert hadamard_family().arity == 1
-    assert h_not_family().arity == 2
-    assert h_cnot_family().arity == 2
-    assert triple_family().arity == 3
-    assert hadamard_family().signs == (1,)
-    assert h_phase_family(1, 4).signs == (1, -1)
-    assert triple_family().signs == (1, -1)
+    assert Family("hadamard").arity == 1
+    assert Family("h-not").arity == 2
+    assert Family("h-cnot").arity == 2
+    assert Family("h-phase-cnot").arity == 3
+    assert Family("hadamard").signs == (1,)
+    assert Family("h-phase", alpha="1/4").signs == (1, -1)
+    assert Family("h-phase-cnot").signs == (1, -1)
+    # phase(pi) and phase(-pi) are one channel, and so are R(pi) and R(-pi).
+    assert Family("h-phase", alpha="1").signs == (1,)
+    assert Family("rotation", alpha="1", theta=1.0).signs == (1,)
 
 
 def test_labels():
-    assert hadamard_family().label == "hadamard"
-    assert h_phase_family(1, 4).label == "h-phase(1/4pi)"
-    assert "rotation(2/3pi," in rotation_family(2, 3, 1.0).label
+    assert Family("hadamard").label == "hadamard"
+    assert Family("h-phase", alpha="1/4").label == "h-phase(1/4pi)"
+    assert "rotation(2/3pi," in Family("rotation", alpha="2/3", theta=1.0).label
 
 
 def test_triple_defaults_to_quarter_turn():
-    fam = triple_family()
+    fam = Family("h-phase-cnot")
     assert fam.alpha == Fraction(1, 4)
+    assert fam == Family("h-phase-cnot", alpha=Fraction(1, 4))
+
+
+def test_alpha_strings_parse_as_fractions():
+    assert Family("h-phase", alpha="1/4") == Family("h-phase", alpha=Fraction(1, 4))
+    assert Family("rotation", alpha="1/3", theta=0.5).alpha == Fraction(1, 3)
 
 
 def test_member_gates_structure():
-    gates = member_gates(h_cnot_family(), 0.7)
+    gates = member_gates(Family("h-cnot"), 0.7)
     assert len(gates) == 2
     assert gates[0].is_close(hadamard(0.7))
     assert gates[1].is_close(cnot(0.7))
-    gates = member_gates(h_phase_family(1, 4), 0.2, sign=-1)
+    gates = member_gates(Family("h-phase", alpha="1/4"), 0.2, sign=-1)
     assert gates[1].is_close(phase_gate(-math.pi / 4.0))
     with pytest.raises(ValueError):
-        member_gates(hadamard_family(), 0.0, sign=0)
+        member_gates(Family("hadamard"), 0.0, sign=0)
 
 
 def test_member_gates_triple():
-    gates = member_gates(triple_family(), 1.1)
+    gates = member_gates(Family("h-phase-cnot"), 1.1)
     assert len(gates) == 3
     assert gates[0].is_close(hadamard(1.1))
     assert gates[1].is_close(phase_gate(math.pi / 4.0))
@@ -103,14 +106,14 @@ def test_member_gates_triple():
 
 
 def test_dist_recovers_member_parameters():
-    fit = dist_to_family(hadamard(2.0), hadamard_family())
+    fit = dist_to_family(hadamard(2.0), Family("hadamard"))
     assert fit.distance <= 1e-6
     assert fit.converged
     assert abs(fit.phi - 2.0) <= 1e-4
 
 
 def test_dist_recovers_sign():
-    fam = rotation_family(1, 3, 0.9)
+    fam = Family("rotation", alpha="1/3", theta=0.9)
     gate = rotation_gate(-math.pi / 3.0, 0.9, 1.4)
     fit = dist_to_family(gate, fam)
     assert fit.distance <= 1e-6
@@ -119,7 +122,7 @@ def test_dist_recovers_sign():
 
 
 def test_dist_pair_member():
-    fam = h_not_family()
+    fam = Family("h-not")
     gates = (hadamard(0.8), not_gate(0.8))
     fit = dist_to_family(gates, fam)
     assert fit.distance <= 1e-6
@@ -129,7 +132,7 @@ def test_dist_pair_member():
 def test_dist_measurement_impostor():
     # the basis measurement is far from every equator involution; the exact
     # value works out to the golden ratio
-    fit = dist_to_family(measurement(1), hadamard_family())
+    fit = dist_to_family(measurement(1), Family("hadamard"))
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     assert fit.distance >= 1.6
     assert fit.distance == pytest.approx(golden, abs=1e-6)
@@ -139,7 +142,7 @@ def test_dist_measurement_impostor():
 def test_dist_phase_component_ignores_phi():
     # the phase member does not depend on phi, so a lone phase error gives a
     # phi-independent floor
-    fam = h_phase_family(1, 2)
+    fam = Family("h-phase", alpha="1/2")
     gates = (hadamard(0.0), phase_gate(math.pi / 2.0 + 0.2))
     fit = dist_to_family(gates, fam)
     expected = 2.0 * math.sin(0.1)  # distance between the two phase gates
@@ -154,7 +157,7 @@ def test_dist_depolarized_h_cnot_member():
     # The pruned search finds the noisy member's own phi; depolarising noise of
     # strength lam puts the CNOT (the worse gate) at 1.5 lam.
     lam, phi = 0.05, 1.3
-    fit = dist_to_family(_depolarized((hadamard(phi), cnot(phi)), lam), h_cnot_family())
+    fit = dist_to_family(_depolarized((hadamard(phi), cnot(phi)), lam), Family("h-cnot"))
     assert fit.distance == pytest.approx(1.5 * lam, abs=1e-9)
     assert abs(fit.phi - phi) <= PHI_TOL
     assert fit.sign == 1
@@ -164,7 +167,7 @@ def test_dist_depolarized_h_cnot_member():
 def test_dist_depolarized_triple_member_with_negative_sign():
     lam, phi = 0.04, 4.0
     gates = _depolarized((hadamard(phi), phase_gate(-math.pi / 4.0), cnot(phi)), lam)
-    fit = dist_to_family(gates, triple_family())
+    fit = dist_to_family(gates, Family("h-phase-cnot"))
     assert fit.distance == pytest.approx(1.5 * lam, abs=1e-9)
     assert abs(fit.phi - phi) <= PHI_TOL
     assert fit.sign == -1
@@ -177,10 +180,10 @@ def test_grid_block_does_not_change_the_fit(monkeypatch):
     from gateselftest import families
 
     gates = _depolarized((hadamard(2.2), not_gate(2.2)), 0.03)
-    expected = dist_to_family(gates, h_not_family())
+    expected = dist_to_family(gates, Family("h-not"))
     for block in (1, 7, families.PHI_GRID_POINTS):
         monkeypatch.setattr(families, "GRID_BLOCK", block)
-        assert dist_to_family(gates, h_not_family()) == expected, block
+        assert dist_to_family(gates, Family("h-not")) == expected, block
 
 
 def _full_scan(lower, value):
@@ -193,18 +196,18 @@ def _full_scan(lower, value):
     "family, gates",
     [
         (
-            h_phase_family(1, 4),
+            Family("h-phase", alpha="1/4"),
             _depolarized((hadamard(0.7), phase_gate(math.pi / 4.0)), 0.03),
         ),
         (
-            h_phase_family(1, 4),
+            Family("h-phase", alpha="1/4"),
             _depolarized((hadamard(2.5), phase_gate(-math.pi / 4.0)), 0.02),
         ),
-        # alpha = pi: phase(pi) and phase(-pi) are one gate, so the two signs
-        # have equal floors.
-        (h_phase_family(1, 1), _depolarized((hadamard(0.2), phase_gate(math.pi)), 0.01)),
+        # alpha = pi: phase(pi) and phase(-pi) are one gate, so the family
+        # has one sign and only the grid is pruned.
+        (Family("h-phase", alpha="1"), _depolarized((hadamard(0.2), phase_gate(math.pi)), 0.01)),
         (
-            h_not_family(),
+            Family("h-not"),
             (
                 apply_noise(hadamard(1.1), NoiseModel("depolarize", 0.04)),
                 apply_noise(not_gate(1.1), NoiseModel("amplitude_damp", 0.03)),
@@ -212,7 +215,7 @@ def _full_scan(lower, value):
         ),
         # No static member: both floors are 0, and only the second sign fits.
         (
-            rotation_family(1, 3, 0.9),
+            Family("rotation", alpha="1/3", theta=0.9),
             _depolarized((rotation_gate(-math.pi / 3.0, 0.9, 1.4),), 0.02),
         ),
     ],
@@ -228,11 +231,31 @@ def test_pruned_search_equals_the_full_search(monkeypatch, family, gates):
     assert dist_to_family(gates, family) == pruned
 
 
+@pytest.mark.parametrize(
+    "family, gates",
+    [
+        (Family("h-phase", alpha="1"), (hadamard(0.2), phase_gate(math.pi))),
+        (Family("h-phase", alpha="1"), (hadamard(1.9), phase_gate(-math.pi))),
+        (Family("rotation", alpha="1", theta=1.0), (rotation_gate(math.pi, 1.0, 2.0),)),
+        (Family("rotation", alpha="1", theta=0.7), (rotation_gate(-math.pi, 0.7, 0.3),)),
+    ],
+)
+def test_alpha_pi_fit_reports_sign_plus(family, gates):
+    # The -pi member is the +pi one, so the fit finds the noisy gates' own
+    # member whichever sign built them, and reports it as sign +1.  Both
+    # rotation cases reported sign -1 when both signs were searched.
+    noisy = _depolarized(gates, 0.05)
+    fit = dist_to_family(noisy, family)
+    assert fit.sign == 1
+    own = max(sup_norm_report(n, g).value for n, g in zip(noisy, gates))
+    assert fit.distance == pytest.approx(own, abs=1e-9)
+
+
 def test_dist_arity_checks():
     with pytest.raises(ValueError):
-        dist_to_family((hadamard(0.0),), h_not_family())
+        dist_to_family((hadamard(0.0),), Family("h-not"))
     with pytest.raises(ValueError):
-        dist_to_family(measurement(2), hadamard_family())
+        dist_to_family(measurement(2), Family("hadamard"))
 
 
 def test_minimize_scalar_matches_scipy_bounded():

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or defines a
+private module-level name it never reads.
 
 ``__init__.py`` is left out: its imports are the package's public names.
 """
@@ -26,6 +27,31 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unread_private_names(source: str) -> list[str]:
+    """Module-level ``_name`` functions, classes and assignments never loaded."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"line {line}: {name}"
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in loaded
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
@@ -34,3 +60,28 @@ def test_module_has_no_unused_import(path):
 def test_guard_sees_an_unused_import():
     source = "import math\nfrom os import path, sep\nprint(sep)\n"
     assert unused_imports(source) == ["line 1: math", "line 2: path"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_reads_every_private_name(path):
+    assert unread_private_names(path.read_text()) == []
+
+
+def test_guard_sees_an_unread_private_name():
+    source = (
+        "_USED = 1\n"
+        "_SPARE, _ALSO = 2, 3\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "class _Dead:\n"
+        "    pass\n"
+        "def public():\n"
+        "    _local = _helper()\n"
+        "    return _local\n"
+        "__all__ = ['public']\n"
+    )
+    assert unread_private_names(source) == [
+        "line 2: _SPARE",
+        "line 2: _ALSO",
+        "line 5: _Dead",
+    ]

@@ -3,11 +3,10 @@ import pytest
 
 from gateselftest import (
     Channel,
+    Family,
     Oracle,
     family_equations,
-    h_not_family,
     hadamard,
-    hadamard_family,
     identity,
     measurement,
     not_gate,
@@ -15,7 +14,7 @@ from gateselftest import (
 )
 from gateselftest import oracle as oracle_module
 
-HSET = family_equations(hadamard_family())
+HSET = family_equations(Family("hadamard"))
 EQ_HALF = HSET.equations[0]  # single application, probability 1/2
 EQ_ONE = HSET.equations[1]  # double application back to |0>, probability 1
 EQ_ZERO = HSET.equations[2]  # double application from |1>, probability 0
@@ -115,7 +114,7 @@ def test_estimate_concentrates_on_true_probability():
 
 
 def test_multi_gate_oracle():
-    eqset = family_equations(h_not_family())
+    eqset = family_equations(Family("h-not"))
     oracle = Oracle((hadamard(0.0), not_gate(0.0)), seed=10)
     # the NOT truth-table equation is certain for an exact member
     eq = next(e for e in eqset.equations if e.r == 1.0 and e.size == 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gateselftest import (
+    Family,
     NoiseModel,
     ScanRecord,
     apply_noise,
@@ -11,12 +12,10 @@ from gateselftest import (
     check_two_axis_identity_bound,
     fit_exponent,
     hadamard,
-    hadamard_family,
     hadamard_robustness_probe,
     identity,
     measurement,
     noise_scan,
-    rotation_family,
     scan_csv_text,
     transpose_map,
 )
@@ -31,7 +30,7 @@ from helpers import random_cptp
 
 def test_depolarize_scan_closed_forms():
     strengths = (0.01, 0.02, 0.05)
-    records = noise_scan(hadamard_family(), "depolarize", strengths)
+    records = noise_scan(Family("hadamard"), "depolarize", strengths)
     assert [r.strength for r in records] == list(strengths)
     for r in records:
         lam = r.strength
@@ -44,14 +43,14 @@ def test_depolarize_scan_closed_forms():
 
 
 def test_phase_drift_stays_in_family():
-    records = noise_scan(hadamard_family(), "phase_drift", (0.0, 0.3))
+    records = noise_scan(Family("hadamard"), "phase_drift", (0.0, 0.3))
     for r in records:
         assert r.epsilon <= 1e-12
         assert r.distance <= 1e-5
 
 
 def test_overrotate_scan_monotone():
-    records = noise_scan(hadamard_family(), "overrotate", (0.05, 0.1, 0.2, 0.4))
+    records = noise_scan(Family("hadamard"), "overrotate", (0.05, 0.1, 0.2, 0.4))
     eps = [r.epsilon for r in records]
     dist = [r.distance for r in records]
     assert all(a < b for a, b in zip(eps, eps[1:]))
@@ -64,7 +63,7 @@ def test_overrotate_scan_monotone():
 
 
 def test_non_hadamard_scan_has_no_bound_column():
-    fam = rotation_family(1, 2, 1.0)
+    fam = Family("rotation", alpha="1/2", theta=1.0)
     records = noise_scan(fam, "depolarize", (0.05,))
     assert records[0].bound is None
     assert records[0].ratio is None
@@ -73,7 +72,7 @@ def test_non_hadamard_scan_has_no_bound_column():
 
 def test_scan_accepts_custom_base_gates():
     base = (hadamard(1.9),)
-    records = noise_scan(hadamard_family(), "depolarize", (0.0,), base)
+    records = noise_scan(Family("hadamard"), "depolarize", (0.0,), base)
     assert records[0].epsilon <= 1e-12
     assert records[0].distance <= 1e-5
 

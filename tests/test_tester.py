@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from gateselftest import (
+    Family,
     Oracle,
     family_equations,
-    h_not_family,
     hadamard,
-    hadamard_family,
     measurement,
     member_gates,
     plan_samples,
@@ -20,7 +19,7 @@ from gateselftest import (
 )
 from gateselftest.tester import MAX_TOTAL_QUERIES
 
-HSET = family_equations(hadamard_family())
+HSET = family_equations(Family("hadamard"))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +96,7 @@ def test_round_constant_validation():
 
 def test_violation_bound_scales_with_word_length():
     assert violation_bound_from_distance(HSET, 0.25) == pytest.approx(0.5)
-    eqset = family_equations(h_not_family())
+    eqset = family_equations(Family("h-not"))
     assert violation_bound_from_distance(eqset, 0.1) == pytest.approx(0.4)
 
 
@@ -138,8 +137,8 @@ def test_caller_supplied_delta():
 
 
 def test_non_hadamard_family_has_no_default_radius():
-    eqset = family_equations(h_not_family())
-    oracle = Oracle(member_gates(h_not_family(), 0.5), seed=2)
+    eqset = family_equations(Family("h-not"))
+    oracle = Oracle(member_gates(Family("h-not"), 0.5), seed=2)
     verdict = run_tester(oracle, eqset, eps=0.3)
     assert verdict.passed
     assert verdict.delta2 is None
@@ -147,8 +146,8 @@ def test_non_hadamard_family_has_no_default_radius():
 
 
 def test_query_budget_refusal():
-    eqset = family_equations(h_not_family())  # d = 7
-    oracle = Oracle(member_gates(h_not_family(), 0.0), seed=0)
+    eqset = family_equations(Family("h-not"))  # d = 7
+    oracle = Oracle(member_gates(Family("h-not"), 0.0), seed=0)
     with pytest.raises(ValueError) as err:
         run_tester(oracle, eqset, eps=0.0005)
     assert str(MAX_TOTAL_QUERIES) in str(err.value)
@@ -165,7 +164,7 @@ def test_budget_refusal_threshold_is_tight():
 def test_arity_mismatch():
     oracle = Oracle(hadamard(0.0), seed=0)
     with pytest.raises(ValueError):
-        run_tester(oracle, family_equations(h_not_family()), eps=0.3)
+        run_tester(oracle, family_equations(Family("h-not")), eps=0.3)
 
 
 def test_verdict_serialisation():

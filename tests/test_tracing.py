@@ -74,8 +74,32 @@ def test_tracer_records_every_family_layer(tmp_path, capsys):
 
 
 def test_tracer_counts_both_signs_when_neither_is_ruled_out(tmp_path, capsys):
-    # phase(pi) and phase(-pi) are the same gate, so both signs share the
-    # phase distance and both are searched in full.
+    # The sign -1 phase distance, 2 sin(pi/32) = 0.196, is below the 0.3 of
+    # the heavily depolarised H, so it cannot rule that sign out and both
+    # signs are searched in full.
+    _, metrics = traced_check(
+        tmp_path,
+        capsys,
+        ["h-phase", "--alpha", "1/32pi"],
+        [
+            {
+                "kind": "hadamard",
+                "params": {"phi": 0.4},
+                "noise": [{"kind": "depolarize", "strength": 0.3}],
+            },
+            {"kind": "phase", "params": {"alpha": "1/32pi"}},
+        ],
+    )
+    assert metrics["families.minimize_scalar.calls"] == 2
+    assert metrics["channel.sup_norm_report.grid.calls"] == 0
+    assert metrics["channel.sup_norm_report.refine.calls"] == (
+        metrics["families.minimize_scalar.nfev"] + 4
+    )
+
+
+def test_tracer_counts_one_sign_at_alpha_pi(tmp_path, capsys):
+    # phase(pi) and phase(-pi) are the same gate, so an alpha = pi family has
+    # one sign: one phase distance, one search and one final evaluation.
     _, metrics = traced_check(
         tmp_path,
         capsys,
@@ -85,9 +109,10 @@ def test_tracer_counts_both_signs_when_neither_is_ruled_out(tmp_path, capsys):
             {"kind": "phase", "params": {"alpha": "pi"}},
         ],
     )
+    assert metrics["families.minimize_scalar.calls"] == 1
     assert metrics["channel.sup_norm_report.grid.calls"] == 0
     assert metrics["channel.sup_norm_report.refine.calls"] == (
-        metrics["families.minimize_scalar.nfev"] + 4
+        metrics["families.minimize_scalar.nfev"] + 2
     )
 
 
