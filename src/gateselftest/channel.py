@@ -40,6 +40,9 @@ ASCENT_MAX_ITER = 200
 ASCENT_TOL = 1e-13
 # rank_one_sample_max draws its rank-one operators in chunks of this many.
 SAMPLE_CHUNK = 4096
+# sup_norm_values runs at most GRID_BLOCK differences per grouped ascent, which
+# bounds the stack's peak memory.
+GRID_BLOCK = 16
 # Largest gate a spec may describe: a 4-qubit Choi matrix is 256 x 256.
 MAX_SPEC_QUBITS = 4
 
@@ -189,6 +192,27 @@ def tensor_channels(g: Channel, h: Channel) -> Channel:
     return _channel_from_transfer(joint)
 
 
+def phase_orbit(g: Channel, qubits, phis) -> np.ndarray:
+    """Transfers of G conjugated by diag(e^{i phi w}), one per phi: shape (len(phis), D^2, D^2).
+
+    ``w`` is the Hamming weight of a basis state on ``qubits`` (qubit 0 is the
+    leftmost Kronecker factor).  The transfer at phi is ``p * T * conj(p)``
+    with ``p = vec(z z^*)`` and ``z = e^{i phi w}``.
+    """
+    shifts = g.n - 1 - np.array(qubits, dtype=int)
+    weight = ((np.arange(g.dim)[:, None] >> shifts) & 1).sum(axis=1)
+    z = np.exp(1j * np.multiply.outer(phis, weight))
+    p = (z[:, :, None] * z.conj()[:, None, :]).reshape(len(z), -1)
+    return p[:, :, None] * g.transfer * p.conj()[:, None, :]
+
+
+def phased(g: Channel, qubits, phi: float) -> Channel:
+    """G conjugated by diag(e^{i phi w}) (see ``phase_orbit``), its axis turned by phi."""
+    out = _channel_from_transfer(phase_orbit(g, qubits, [phi])[0])
+    out.axis = None if g.axis is None else (g.axis[0], g.axis[1] + phi)
+    return out
+
+
 # ----------------------------------------------------------------------------
 # standard gates
 
@@ -317,12 +341,6 @@ class NoiseModel:
         object.__setattr__(self, "strength", s)
 
 
-def _depolarizing(n: int, lam: float) -> Channel:
-    d = 2**n
-    choi = (1.0 - lam) * identity(n).choi + (lam / d) * np.eye(d * d, dtype=complex)
-    return Channel(choi)
-
-
 def _per_qubit(gate: Channel, n: int) -> Channel:
     out = gate
     for _ in range(n - 1):
@@ -339,27 +357,17 @@ def apply_noise(g: Channel, model: NoiseModel) -> Channel:
     Every kind keeps the axis, so a later overrotate still turns about it.
     """
     s = model.strength
-    axis = g.axis
+    if model.kind == "phase_drift":
+        return phased(g, range(g.n), s)
     if model.kind == "depolarize":
-        noisy = compose(_depolarizing(g.n, s), g)
+        noise = Channel((1.0 - s) * identity(g.n).choi + (s / g.dim) * np.eye(g.dim**2))
     elif model.kind == "overrotate":
-        rot = rotation_gate(s, *axis) if axis is not None else _per_qubit(phase_gate(s), g.n)
-        noisy = compose(rot, g)
-    elif model.kind == "phase_drift":
-        fwd = _per_qubit(phase_gate(s), g.n)
-        back = _per_qubit(phase_gate(-s), g.n)
-        noisy = compose(fwd, compose(g, back))
-        if axis is not None:
-            axis = (axis[0], axis[1] + s)
+        noise = rotation_gate(s, *g.axis) if g.axis is not None else _per_qubit(phase_gate(s), g.n)
     else:
-        damp = from_kraus(
-            [
-                np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - s)]], dtype=complex),
-                np.array([[0.0, math.sqrt(s)], [0.0, 0.0]], dtype=complex),
-            ]
-        )
-        noisy = compose(_per_qubit(damp, g.n), g)
-    noisy.axis = axis
+        decay = np.array([[0.0, math.sqrt(s)], [0.0, 0.0]])
+        noise = _per_qubit(from_kraus([np.diag([1.0, math.sqrt(1.0 - s)]), decay]), g.n)
+    noisy = compose(noise, g)
+    noisy.axis = g.axis
     return noisy
 
 
@@ -518,23 +526,19 @@ def sup_norm_report(
     return SupNormResult(value, spread, spread <= SPREAD_FLAG_TOL, u[best], v[best])
 
 
-def sup_norm_values(pairs, *, starts: int = 64, seed: int = 0) -> list[float]:
-    """``sup_norm_report(g, h, starts=starts, seed=seed).value`` for every pair (g, h).
+def sup_norm_values(deltas: np.ndarray, *, starts: int = 64, seed: int = 0) -> np.ndarray:
+    """The norm value of every transfer difference in a (G, D^2, D^2) stack.
 
-    All pairs must act on one qubit count.  The nonzero differences run as
-    the groups of one ``_ascent`` stack, so each value equals the per-pair
-    call bit for bit, at a fraction of its per-call overhead.
+    Each value equals ``sup_norm_report`` on that difference with the same
+    ``starts`` and ``seed``, bit for bit.  Zero differences read 0.0 without an
+    ascent; the others run as the groups of ``_ascent`` stacks of at most
+    GRID_BLOCK, at a fraction of the per-call overhead.
     """
-    pairs = list(pairs)
-    if len({x.n for pair in pairs for x in pair}) > 1:
-        raise ValueError("sup_norm_values needs pairs on one qubit count")
-    values = [0.0] * len(pairs)
-    deltas = [g.transfer - h.transfer for g, h in pairs]
-    live = [i for i, delta in enumerate(deltas) if not np.abs(delta).max() < 1e-14]
-    if live:
-        vals, _, _ = _ascent(np.stack([deltas[i] for i in live]), starts, seed)
-        for i, value in zip(live, vals.max(axis=1)):
-            values[i] = float(value)
+    values = np.zeros(len(deltas))
+    live = np.flatnonzero(~(np.abs(deltas).max(axis=(1, 2)) < 1e-14))
+    for first in range(0, len(live), GRID_BLOCK):
+        rows = live[first:first + GRID_BLOCK]
+        values[rows] = _ascent(deltas[rows], starts, seed)[0].max(axis=1)
     return values
 
 

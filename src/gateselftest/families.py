@@ -15,12 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .channel import (
     Channel,
     cnot,
     hadamard,
     not_gate,
     phase_gate,
+    phase_orbit,
+    phased,
     rotation_gate,
     sup_norm_report,
     sup_norm_values,
@@ -43,9 +47,6 @@ TWO_PI = 2.0 * math.pi
 # The phi search in dist_to_family: grid size and refinement tolerance.
 PHI_GRID_POINTS = 256
 PHI_TOL = 1e-6
-# The 1-qubit grid evaluations run GRID_BLOCK phis per grouped ascent, which
-# bounds the stack's peak memory.
-GRID_BLOCK = 16
 # Brent's bounded search: golden-section ratio, relative x tolerance and
 # evaluation cap, as in scipy's minimize_scalar(method="bounded").
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -57,14 +58,18 @@ _MAX_FEV = 500
 class FamilySpec:
     """Everything the package knows about one gate family.
 
-    ``members`` holds ``(build, phi_dependent)`` per gate, in tuple order, where
-    ``build(family, alpha, phi)`` gets the signed angle in radians;
-    ``equations(family)`` lists the defining equations.  Families that take an
-    alpha have both angle signs as members (one at alpha = pi), and
-    ``Family`` applies ``default_alpha`` when it is given none.
+    ``members`` holds ``(build, qubits)`` per gate, in tuple order, where
+    ``build(family, alpha)`` gets the signed angle in radians and returns the
+    member at phi = 0.  The member at phi is its orbit point
+    ``phased(build(family, alpha), qubits, phi)``: phi conjugates it by
+    ``diag(e^{i phi w})``, with ``w`` the Hamming weight on ``qubits``, so a
+    member with no qubits does not depend on phi.  ``equations(family)`` lists
+    the defining equations.  Families that take an alpha have both angle
+    signs as members (one at alpha = pi), and ``Family`` applies
+    ``default_alpha`` when it is given none.
     """
 
-    members: tuple[tuple[Callable[[Family, float, float], Channel], bool], ...]
+    members: tuple[tuple[Callable[[Family, float], Channel], tuple[int, ...]], ...]
     equations: Callable[[Family], list]
     takes_alpha: bool = False
     takes_theta: bool = False
@@ -74,9 +79,9 @@ class FamilySpec:
 
 # The builders look the gate constructors up when they run, so rebinding a
 # module attribute (as a tracer does) reaches every family.
-_H = (lambda fam, alpha, phi: hadamard(phi), True)
-_PHASE = (lambda fam, alpha, phi: phase_gate(alpha), False)
-_CNOT = (lambda fam, alpha, phi: cnot(phi), True)
+_H = (lambda fam, alpha: hadamard(), (0,))
+_PHASE = (lambda fam, alpha: phase_gate(alpha), ())
+_CNOT = (lambda fam, alpha: cnot(), (1,))
 
 FAMILIES = {
     "hadamard": FamilySpec(
@@ -85,13 +90,13 @@ FAMILIES = {
         sqrt_law_coeff=HADAMARD_ROBUSTNESS_COEFF,
     ),
     "rotation": FamilySpec(
-        members=((lambda fam, alpha, phi: rotation_gate(alpha, fam.theta, phi), True),),
+        members=((lambda fam, alpha: rotation_gate(alpha, fam.theta, 0.0), (0,)),),
         equations=lambda fam: rotation_equations(fam.alpha, fam.theta, var=0, arity=1),
         takes_alpha=True,
         takes_theta=True,
     ),
     "h-not": FamilySpec(
-        members=(_H, (lambda fam, alpha, phi: not_gate(phi), True)),
+        members=(_H, (lambda fam, alpha: not_gate(), (0,))),
         equations=lambda fam: hadamard_equations(0, 2) + not_equations(0, 1, 2),
     ),
     "h-phase": FamilySpec(
@@ -128,6 +133,10 @@ class Family:
     * ``h-cnot`` — pair (H_phi, CNOT_phi), shared phi.
     * ``h-phase-cnot`` — triple (H_phi, phase(+-alpha), CNOT_phi), shared phi;
       ``alpha`` defaults to pi/4.
+
+    ``alpha`` is in units of pi: a ``Fraction``, an ``int`` or a string such
+    as ``"1/4"``.  A float or a bool is rejected, since a float would stand
+    for its binary fraction and ``True`` would read as pi.
     """
 
     kind: str
@@ -140,8 +149,8 @@ class Family:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if spec.takes_alpha:
             alpha = spec.default_alpha if self.alpha is None else self.alpha
-            if alpha is None:
-                raise ValueError(f"family {self.kind!r} needs an alpha fraction of pi")
+            if alpha is None or isinstance(alpha, (float, bool)):
+                raise ValueError(f"{self.kind} needs alpha as a fraction of pi, got {alpha!r}")
             frac = Fraction(alpha)
             if not 0 < frac <= 1:
                 raise ValueError(f"alpha must satisfy 0 < alpha <= pi, got {frac}*pi")
@@ -213,7 +222,7 @@ def member_gates(family: Family, phi: float, sign: int = 1) -> tuple[Channel, ..
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     alpha = sign * family.alpha_radians
-    return tuple(build(family, alpha, phi) for build, _ in family.spec.members)
+    return tuple(phased(build(family, alpha), q, phi) for build, q in family.spec.members)
 
 
 @dataclass
@@ -319,16 +328,18 @@ def pruned_argmin(lower: list[float], value: Callable[[int], float]) -> tuple[in
 def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 0) -> FamilyFit:
     """Minimise the worst per-gate superoperator distance over the family.
 
-    Per sign, a grid of PHI_GRID_POINTS longitudes picks the bracket that a
-    bounded scalar search refines to PHI_TOL.  The distance and ``converged``
-    come from full-start evaluations at the returned member, so the distance
-    is a certified lower bound there.
+    Each member is built once per sign, at phi = 0; every member at phi is
+    its phase-orbit point (see ``FamilySpec``).  Per sign, a grid of
+    PHI_GRID_POINTS longitudes picks the bracket that a bounded scalar search
+    refines to PHI_TOL.  The distance and ``converged`` come from full-start
+    evaluations at the returned member, so the distance is a certified lower
+    bound there.
 
     Every member's distance is a lower bound on the worst one, so the signs
     (bounded by their phi-independent members) and the grid points (bounded
     by their 1-qubit members) are both searched by ``pruned_argmin``, and the
-    result is the full search's, bit for bit.  The 1-qubit grid runs
-    GRID_BLOCK phis per ``sup_norm_values`` stack, which bounds its memory.
+    result is the full search's, bit for bit.  A 1-qubit member's grid is one
+    ``phase_orbit`` stack of differences for ``sup_norm_values``.
     ``grid_starts`` stays a parameter, and grid evaluations pass it as
     ``starts=`` by keyword, because ``bench/spans.py`` reads its default and
     that keyword to tell grid evaluations from refinement ones.
@@ -340,55 +351,53 @@ def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 
         raise ValueError(
             f"family {family.label} has arity {family.arity}, got {len(gates)} gates"
         )
-    static = [(g, build) for g, (build, dep) in zip(gates, family.spec.members) if not dep]
-    moving = [(g, build) for g, (build, dep) in zip(gates, family.spec.members) if dep]
-    for gate, build in static + moving:
-        member = build(family, family.alpha_radians, 0.0)
+    built = [
+        [build(family, sign * family.alpha_radians) for build, _ in family.spec.members]
+        for sign in family.signs
+    ]
+    for gate, member in zip(gates, built[0]):
         if gate.n != member.n:
             raise ValueError(
                 f"gate acts on {gate.n} qubits where the family member "
                 f"acts on {member.n}"
             )
     # Gate and member qubit counts agree from here on.
-    cheap = [(g, build) for g, build in moving if g.n == 1]
-    dear = [(g, build) for g, build in moving if g.n > 1]
+    qubits = [q for _, q in family.spec.members]
+    static = [i for i, q in enumerate(qubits) if not q]
+    moving = [i for i, q in enumerate(qubits) if q]
+    cheap = [i for i in moving if gates[i].n == 1]
+    dear = [i for i in moving if gates[i].n > 1]
 
-    def reports(alpha, phi, members, **starts) -> list:
+    def reports(index, phi, which, **starts) -> list:
         return [
-            sup_norm_report(g, build(family, alpha, phi), seed=seed, **starts)
-            for g, build in members
+            sup_norm_report(gates[i], phased(built[index][i], qubits[i], phi), seed=seed, **starts)
+            for i in which
         ]
 
     def worst(floor, found) -> float:
         return max([floor, *(r.value for r in found)])
 
-    statics = [reports(sign * family.alpha_radians, 0.0, static) for sign in family.signs]
+    statics = [reports(index, 0.0, static) for index in range(len(family.signs))]
     floors = [worst(0.0, found) for found in statics]
     step = TWO_PI / PHI_GRID_POINTS
-    phis = [j * step for j in range(PHI_GRID_POINTS)]
+    phis = np.arange(PHI_GRID_POINTS) * step
     fits: dict[int, FamilyFit] = {}
 
     def fit(index) -> float:
         sign, floor = family.signs[index], floors[index]
-        alpha = sign * family.alpha_radians
-        k, lower = len(cheap), []
-        for first in range(0, PHI_GRID_POINTS, GRID_BLOCK):
-            block = phis[first:first + GRID_BLOCK]
-            values = sup_norm_values(
-                [(g, build(family, alpha, phi)) for phi in block for g, build in cheap],
-                starts=grid_starts,
-                seed=seed,
-            )
-            lower += [max([floor, *values[i * k:(i + 1) * k]]) for i in range(len(block))]
+        lower = np.full(PHI_GRID_POINTS, floor)
+        for i in cheap:
+            deltas = gates[i].transfer - phase_orbit(built[index][i], qubits[i], phis)
+            lower = np.maximum(lower, sup_norm_values(deltas, starts=grid_starts, seed=seed))
         j_best, _ = pruned_argmin(
-            lower, lambda j: worst(lower[j], reports(alpha, phis[j], dear, starts=grid_starts))
+            lower, lambda j: worst(lower[j], reports(index, phis[j], dear, starts=grid_starts))
         )
         res = minimize_scalar(
-            lambda phi: worst(floor, reports(alpha, phi, moving)),
+            lambda phi: worst(floor, reports(index, phi, moving)),
             ((j_best - 1) * step, (j_best + 1) * step),
         )
         phi_star = res.x % TWO_PI
-        final = statics[index] + reports(alpha, phi_star, moving)
+        final = statics[index] + reports(index, phi_star, moving)
         distance = max(r.value for r in final)
         fits[index] = FamilyFit(distance, phi_star, sign, all(r.converged for r in final))
         return distance

@@ -33,7 +33,7 @@ from gateselftest import (
     zeta_states,
 )
 from gateselftest.bloch import affine_of_channel
-from gateselftest.channel import MAX_SPEC_QUBITS, NOISE_KINDS
+from gateselftest.channel import MAX_SPEC_QUBITS, NOISE_KINDS, phase_orbit, phased
 
 from helpers import (
     choi_of_kraus,
@@ -370,6 +370,51 @@ def test_phase_drift_fixes_diagonal_gates():
     assert g.is_close(phase_gate(0.8))
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.4, 2.5, -1.3, 6.0])
+def test_phase_orbit_reproduces_the_builders(phi):
+    # Conjugating a gate built at phi = 0 by diag(e^{i phi w}), w the Hamming
+    # weight on the listed qubits, gives the builder's gate at phi.
+    cases = [
+        (hadamard(0.0), (0,), hadamard(phi)),
+        (not_gate(0.0), (0,), not_gate(phi)),
+        (rotation_gate(math.pi / 3.0, 0.7, 0.0), (0,), rotation_gate(math.pi / 3.0, 0.7, phi)),
+        (cnot(0.0), (1,), cnot(phi)),
+    ]
+    for gate, qubits, expected in cases:
+        member = phased(gate, qubits, phi)
+        assert member.is_close(expected, tol=1e-14)
+        assert member.axis == expected.axis
+        orbit = phase_orbit(gate, qubits, [0.3, phi])
+        assert np.array_equal(orbit[1], member.transfer)
+
+
+def _drift_sandwich(gate, s):
+    fwd, back = phase_gate(s), phase_gate(-s)
+    for _ in range(gate.n - 1):
+        fwd, back = tensor_channels(fwd, phase_gate(s)), tensor_channels(back, phase_gate(-s))
+    return compose(fwd, compose(gate, back))
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        hadamard(0.3),
+        rotation_gate(1.1, 0.6, 2.0),
+        random_cptp(np.random.default_rng(41), n=1),
+        cnot(0.4),
+        random_cptp(np.random.default_rng(42), n=2),
+    ],
+    ids=["hadamard", "rotation", "cptp-1", "cnot", "cptp-2"],
+)
+def test_phase_drift_is_the_per_qubit_phase_sandwich(gate):
+    # phase_drift conjugates every qubit by phase(s): the same channel as
+    # composing phase(s)^{(x) n} after the gate and phase(-s)^{(x) n} before it.
+    s = 0.45
+    noisy = apply_noise(gate, NoiseModel("phase_drift", s))
+    assert np.abs(noisy.choi - _drift_sandwich(gate, s).choi).max() <= 1e-14
+    assert noisy.axis == (None if gate.axis is None else (gate.axis[0], gate.axis[1] + s))
+
+
 def test_amplitude_damp_fixed_point_and_decay():
     s = 0.4
     g = apply_noise(identity(1), NoiseModel("amplitude_damp", s))
@@ -643,6 +688,7 @@ def _iterations(monkeypatch, g, h, starts):
 
 
 def test_grouped_values_equal_per_call_values_bit_for_bit(monkeypatch):
+    from gateselftest import channel
     from gateselftest.channel import ASCENT_MAX_ITER, sup_norm_values
 
     phi0, starts, seed = 0.7, 16, 5
@@ -656,16 +702,41 @@ def test_grouped_values_equal_per_call_values_bit_for_bit(monkeypatch):
     pairs = [(g, hadamard(phi)) for phi in phis for g in (quick, capped, hadamard(phi0))]
     per_call = [sup_norm_report(g, h, starts=starts, seed=seed).value for g, h in pairs]
     assert per_call[2] == 0.0
+    deltas = np.stack([g.transfer - h.transfer for g, h in pairs])
     for block in (1, 7, 16, len(pairs)):
-        grouped = []
-        for first in range(0, len(pairs), block):
-            grouped += sup_norm_values(pairs[first:first + block], starts=starts, seed=seed)
-        assert grouped == per_call, block
+        monkeypatch.setattr(channel, "GRID_BLOCK", block)
+        assert sup_norm_values(deltas, starts=starts, seed=seed).tolist() == per_call, block
 
 
-def test_grouped_values_need_one_qubit_count():
+@pytest.mark.parametrize("block", [16, 5, 1])
+def test_grid_block_bounds_every_ascent_stack(monkeypatch, block):
+    # The stack's peak memory is bounded by GRID_BLOCK rows per ascent, and
+    # zero differences skip the ascent.
+    from gateselftest import channel
+
+    sizes = []
+    ascent = channel._ascent
+
+    def recorded(delta, starts, seed):
+        sizes.append(len(delta))
+        return ascent(delta, starts, seed)
+
+    monkeypatch.setattr(channel, "_ascent", recorded)
+    monkeypatch.setattr(channel, "GRID_BLOCK", block)
+    phis = np.arange(256) * 2.0 * math.pi / 256
+    noisy = apply_noise(hadamard(phis[3]), NoiseModel("depolarize", 0.05))
+    deltas = noisy.transfer - phase_orbit(hadamard(0.0), (0,), phis)
+    zero = np.zeros(256, dtype=bool)
+    zero[::17] = True
+    deltas[zero] = 0.0
+    values = channel.sup_norm_values(deltas, starts=2)
+    assert max(sizes) <= block
+    assert sum(sizes) == 256 - zero.sum()
+    assert (values[zero] == 0.0).all()
+    assert (values[~zero] > 0.0).all()
+
+
+def test_grouped_values_of_an_empty_stack():
     from gateselftest.channel import sup_norm_values
 
-    assert sup_norm_values([]) == []
-    with pytest.raises(ValueError):
-        sup_norm_values([(hadamard(0.1), hadamard(0.2)), (cnot(0.1), cnot(0.2))])
+    assert sup_norm_values(np.zeros((0, 4, 4), dtype=complex)).shape == (0,)

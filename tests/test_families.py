@@ -38,6 +38,11 @@ def test_alpha_range():
     with pytest.raises(ValueError):
         Family("rotation", alpha="0", theta=0.5)
     assert Family("h-phase", alpha="1").alpha == 1
+    # A float would become its binary fraction, and True would read as pi.
+    with pytest.raises(ValueError, match="alpha"):
+        Family("h-phase", alpha=0.1)
+    with pytest.raises(ValueError, match="alpha"):
+        Family("h-phase", alpha=True)
 
 
 def test_rotation_excludes_the_not_point():
@@ -95,6 +100,18 @@ def test_member_gates_structure():
     assert gates[1].is_close(phase_gate(-math.pi / 4.0))
     with pytest.raises(ValueError):
         member_gates(Family("hadamard"), 0.0, sign=0)
+
+
+def test_member_gates_keep_the_axis():
+    # overrotate turns about a gate's recorded axis and falls back to a z-axis
+    # phase without one, so a member must record the axis of its gate.
+    over = NoiseModel("overrotate", 0.3)
+    member = member_gates(Family("hadamard"), 0.7)[0]
+    assert apply_noise(member, over).is_close(apply_noise(hadamard(0.7), over))
+    fam = Family("rotation", alpha="1/3", theta=0.9)
+    member = member_gates(fam, 1.4, sign=-1)[0]
+    expected = rotation_gate(-math.pi / 3.0, 0.9, 1.4)
+    assert apply_noise(member, over).is_close(apply_noise(expected, over))
 
 
 def test_member_gates_triple():
@@ -175,14 +192,15 @@ def test_dist_depolarized_triple_member_with_negative_sign():
 
 
 def test_grid_block_does_not_change_the_fit(monkeypatch):
-    # h-not has two 1-qubit phi-dependent members, so each block stacks two
-    # pairs per phi; the fit must not depend on how the grid is cut.
-    from gateselftest import families
+    # h-not has two 1-qubit phi-dependent members, each with a grid of
+    # differences that runs GRID_BLOCK rows per ascent; the fit must not
+    # depend on how the grid is cut.
+    from gateselftest import channel, families
 
     gates = _depolarized((hadamard(2.2), not_gate(2.2)), 0.03)
     expected = dist_to_family(gates, Family("h-not"))
     for block in (1, 7, families.PHI_GRID_POINTS):
-        monkeypatch.setattr(families, "GRID_BLOCK", block)
+        monkeypatch.setattr(channel, "GRID_BLOCK", block)
         assert dist_to_family(gates, Family("h-not")) == expected, block
 
 
