@@ -50,11 +50,12 @@ MAX_SPEC_QUBITS = 4
 class Channel:
     """Linear superoperator on ``n`` qubits, stored as a Choi matrix.
 
-    ``axis`` optionally records ``(theta, phi)`` for gates built as Bloch
-    rotations, so noise models can overrotate about the same axis.
+    ``choi`` and ``transfer`` are computed once, at construction, and are
+    read-only.  ``axis`` optionally records ``(theta, phi)`` for gates built
+    as Bloch rotations, so noise models can overrotate about the same axis.
     """
 
-    __slots__ = ("n", "choi", "is_cp", "is_tp", "choi_min_eig", "axis", "_transfer")
+    __slots__ = ("n", "choi", "transfer", "is_cp", "is_tp", "choi_min_eig", "axis")
 
     def __init__(self, choi, *, axis: tuple[float, float] | None = None):
         arr = np.array(choi, dtype=complex)
@@ -69,7 +70,6 @@ class Channel:
         self.n = n
         self.choi = arr
         self.axis = axis
-        self._transfer = None
 
         hermitian_defect = np.abs(arr - arr.conj().T).max()
         eigs = np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)
@@ -78,19 +78,13 @@ class Channel:
         choi4 = arr.reshape(dim, dim, dim, dim)
         tp_defect = np.abs(np.einsum("ikjk->ij", choi4) - np.eye(dim)).max()
         self.is_tp = bool(tp_defect <= TP_TOL)
+        transfer = choi4.transpose(1, 3, 0, 2).reshape(dim2, dim2)
+        transfer.setflags(write=False)
+        self.transfer = transfer
 
     @property
     def dim(self) -> int:
         return 2**self.n
-
-    @property
-    def transfer(self) -> np.ndarray:
-        if self._transfer is None:
-            d = self.dim
-            t = self.choi.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
-            t.setflags(write=False)
-            self._transfer = t
-        return self._transfer
 
     def apply_matrix(self, m) -> np.ndarray:
         """Linear action on an arbitrary operator (no state validation)."""
@@ -117,17 +111,20 @@ class Channel:
         return f"Channel(n={self.n}, cp={self.is_cp}, tp={self.is_tp})"
 
 
-def _channel_from_transfer(transfer: np.ndarray) -> Channel:
+def gate_tuple(gates) -> tuple[Channel, ...]:
+    """A gate tuple from one ``Channel`` or any iterable of them."""
+    return (gates,) if isinstance(gates, Channel) else tuple(gates)
+
+
+def _channel_from_transfer(transfer: np.ndarray, axis=None) -> Channel:
     d2 = transfer.shape[0]
     d = math.isqrt(d2)
     choi = transfer.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d2, d2)
-    return Channel(choi)
+    return Channel(choi, axis=axis)
 
 
 def identity(n: int = 1) -> Channel:
-    d = 2**n
-    vec = np.eye(d, dtype=complex).T.reshape(-1)
-    return Channel(np.outer(vec, vec.conj()))
+    return from_unitary(np.eye(2**n))
 
 
 def from_unitary(u, *, axis=None) -> Channel:
@@ -208,36 +205,32 @@ def phase_orbit(g: Channel, qubits, phis) -> np.ndarray:
 
 def phased(g: Channel, qubits, phi: float) -> Channel:
     """G conjugated by diag(e^{i phi w}) (see ``phase_orbit``), its axis turned by phi."""
-    out = _channel_from_transfer(phase_orbit(g, qubits, [phi])[0])
-    out.axis = None if g.axis is None else (g.axis[0], g.axis[1] + phi)
-    return out
+    axis = None if g.axis is None else (g.axis[0], g.axis[1] + phi)
+    return _channel_from_transfer(phase_orbit(g, qubits, [phi])[0], axis)
 
 
 # ----------------------------------------------------------------------------
 # standard gates
 
 
+def rotation_gate(alpha: float, theta: float, phi: float) -> Channel:
+    """Rotation by alpha about the (theta, phi) Bloch axis, with that axis recorded."""
+    return from_unitary(rotation_unitary(alpha, theta, phi), axis=(theta, phi))
+
+
 def hadamard(phi: float = 0.0) -> Channel:
     """Involutive rotation exchanging |0> and the phi-equator superposition."""
-    return from_unitary(
-        rotation_unitary(math.pi, math.pi / 4.0, phi), axis=(math.pi / 4.0, phi)
-    )
+    return rotation_gate(math.pi, math.pi / 4.0, phi)
 
 
 def not_gate(phi: float = 0.0) -> Channel:
     """Phase-twisted NOT: |0> -> e^{i phi}|1>, e^{i phi}|1> -> |0>."""
-    return from_unitary(
-        rotation_unitary(math.pi, math.pi / 2.0, phi), axis=(math.pi / 2.0, phi)
-    )
-
-
-def rotation_gate(alpha: float, theta: float, phi: float) -> Channel:
-    return from_unitary(rotation_unitary(alpha, theta, phi), axis=(theta, phi))
+    return rotation_gate(math.pi, math.pi / 2.0, phi)
 
 
 def phase_gate(alpha: float) -> Channel:
     """diag(1, e^{i alpha}) conjugation; the theta = 0 rotation."""
-    return from_unitary(rotation_unitary(alpha, 0.0, 0.0), axis=(0.0, 0.0))
+    return rotation_gate(alpha, 0.0, 0.0)
 
 
 def cnot(phi: float = 0.0) -> Channel:
@@ -366,9 +359,7 @@ def apply_noise(g: Channel, model: NoiseModel) -> Channel:
     else:
         decay = np.array([[0.0, math.sqrt(s)], [0.0, 0.0]])
         noise = _per_qubit(from_kraus([np.diag([1.0, math.sqrt(1.0 - s)]), decay]), g.n)
-    noisy = compose(noise, g)
-    noisy.axis = g.axis
-    return noisy
+    return _channel_from_transfer(noise.transfer @ g.transfer, g.axis)
 
 
 # ----------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import Channel, identity, tensor_channels
+from .channel import Channel, gate_tuple, identity, tensor_channels
 
 MAX_TOTAL_EXPONENT = 10**6
 
@@ -180,9 +180,7 @@ def _embedded_transfer(step: Step, gates, n: int) -> np.ndarray:
 
 def probability_term(eq: ExperimentalEquation, gates) -> float:
     """Exact outcome probability of the equation's experiment on these gates."""
-    if isinstance(gates, Channel):
-        gates = (gates,)
-    gates = tuple(gates)
+    gates = gate_tuple(gates)
     if len(gates) != eq.arity:
         raise ValueError(f"equation has arity {eq.arity}, got {len(gates)} gates")
     dim = 2**eq.n
@@ -205,9 +203,7 @@ def probability_term(eq: ExperimentalEquation, gates) -> float:
 
 def max_violation(eqset: EquationSet, gates) -> float:
     """Worst |probability - constant| over the set, evaluated exactly."""
-    if isinstance(gates, Channel):
-        gates = (gates,)
-    gates = tuple(gates)
+    gates = gate_tuple(gates)
     return max(abs(probability_term(eq, gates) - eq.r) for eq in eqset.equations)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .channel import (
     Channel,
     cnot,
+    gate_tuple,
     hadamard,
     not_gate,
     phase_gate,
@@ -344,9 +345,7 @@ def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 
     ``starts=`` by keyword, because ``bench/spans.py`` reads its default and
     that keyword to tell grid evaluations from refinement ones.
     """
-    if isinstance(gates, Channel):
-        gates = (gates,)
-    gates = tuple(gates)
+    gates = gate_tuple(gates)
     if len(gates) != family.arity:
         raise ValueError(
             f"family {family.label} has arity {family.arity}, got {len(gates)} gates"

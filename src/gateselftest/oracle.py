@@ -2,8 +2,9 @@
 
 One query = prepare the equation's basis state, run its gate word through the
 hidden gates, measure once, and report whether the designated outcome fired.
-The exact outcome probability is computed once per equation and cached; the
-tester side of the interface only ever sees single bits and empirical means.
+The exact outcome probability and the random stream are made once per
+equation and kept as one record; the tester side of the interface only ever
+sees single bits and empirical means.
 
 Randomness: numpy PCG64 generators keyed by (oracle seed, equation content
 hash), so the streams of different equations are disjoint and independent of
@@ -17,6 +18,7 @@ import json
 
 import numpy as np
 
+from .channel import gate_tuple
 from .equations import ExperimentalEquation, probability_term
 
 # Uniforms drawn per block in estimate(): bounds its memory at about 0.6 MB
@@ -34,9 +36,7 @@ class Oracle:
     """Black-box sampling access to a hidden tuple of CP, TP gates."""
 
     def __init__(self, gates, seed: int):
-        if not hasattr(gates, "__len__"):
-            gates = (gates,)
-        gates = tuple(gates)
+        gates = gate_tuple(gates)
         if not gates:
             raise ValueError("oracle needs at least one gate")
         for i, g in enumerate(gates):
@@ -48,22 +48,8 @@ class Oracle:
         self.gates = gates
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.query_count = 0
-        self._streams: dict[int, np.random.Generator] = {}
-        self._probs: dict[int, float] = {}
-
-    def _prob(self, eq: ExperimentalEquation, key: int) -> float:
-        p = self._probs.get(key)
-        if p is None:
-            p = probability_term(eq, self.gates)
-            self._probs[key] = p
-        return p
-
-    def _stream(self, key: int) -> np.random.Generator:
-        gen = self._streams.get(key)
-        if gen is None:
-            gen = np.random.Generator(np.random.PCG64((self.seed, key)))
-            self._streams[key] = gen
-        return gen
+        # Equation key -> (outcome probability, its random stream).
+        self._experiments: dict[int, tuple[float, np.random.Generator]] = {}
 
     def query(self, eq: ExperimentalEquation) -> int:
         """One run of the experiment: 1 iff the designated outcome occurred."""
@@ -74,8 +60,12 @@ class Oracle:
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
         key = _equation_key(eq)
-        p = self._prob(eq, key)
-        stream = self._stream(key)
+        if key not in self._experiments:
+            self._experiments[key] = (
+                probability_term(eq, self.gates),
+                np.random.Generator(np.random.PCG64((self.seed, key))),
+            )
+        p, stream = self._experiments[key]
         hits = 0
         for start in range(0, samples, ESTIMATE_CHUNK):
             draws = stream.random(min(ESTIMATE_CHUNK, samples - start))

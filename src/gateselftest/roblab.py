@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import affine_of_channel, from_bloch, to_bloch
-from .channel import Channel, NoiseModel, apply_noise, compose, hadamard, identity, sup_norm_report
+from .channel import (
+    Channel, NoiseModel, apply_noise, compose, gate_tuple, hadamard, identity, sup_norm_report
+)
 from .equations import EquationSet, max_violation
 from .families import (
     Family,
@@ -58,21 +60,22 @@ def noise_scan(
     The bound column is the family's proven sqrt-law distance radius at the
     measured eps (see ``sqrt_law_radius``); ratio is
     distance/bound and is left empty when no bound applies or the bound is 0.
+    Every strength is validated before the first distance search.
     """
     eqset = family_equations(family)
     if base_gates is None:
         base_gates = member_gates(family, 0.0, 1)
-    base_gates = tuple(base_gates)
+    base_gates = gate_tuple(base_gates)
+    models = [NoiseModel(noise_kind, float(s)) for s in strengths]
     records = []
-    for s in strengths:
-        model = NoiseModel(noise_kind, float(s))
+    for model in models:
         noisy = tuple(apply_noise(g, model) for g in base_gates)
         eps = max_violation(eqset, noisy)
         fit = dist_to_family(noisy, family, seed=seed)
         bound = sqrt_law_radius(family.label, eps)
         ratio = fit.distance / bound if bound else None
         records.append(
-            ScanRecord(noise_kind, float(s), eps, fit.distance, bound, ratio)
+            ScanRecord(noise_kind, model.strength, eps, fit.distance, bound, ratio)
         )
     return records
 

@@ -128,11 +128,13 @@ def run_tester(
 ) -> TesterVerdict:
     """One tester run: estimate every equation, compare against 2 eps / 3.
 
-    ``delta`` optionally supplies the robustness radius of the equation set;
-    a family with a proven sqrt-law bound uses that bound by default.  The
-    verdict is a deterministic function of the oracle seed, the equation set
-    and eps (fresh oracle assumed).
+    ``delta`` optionally supplies the robustness radius of the equation set,
+    a finite number >= 0; a family with a proven sqrt-law bound uses that
+    bound by default.  The verdict is a deterministic function of the oracle
+    seed, the equation set and eps (fresh oracle assumed).
     """
+    if delta is not None and not 0.0 <= float(delta) < math.inf:
+        raise ValueError(f"delta must be a finite radius >= 0, got {delta}")
     plan = plan_samples(eqset.d, eps)
     if plan.total_queries > MAX_TOTAL_QUERIES:
         required = math.sqrt(

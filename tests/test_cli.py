@@ -206,6 +206,19 @@ def test_selftest_deterministic_output(capsys, gate_file):
     assert first == second
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "-1"])
+def test_selftest_rejects_a_delta_that_is_not_a_finite_radius(capsys, gate_file, delta):
+    # NaN and Infinity are not JSON, and a negative radius means nothing
+    path = gate_file("h.json", {"kind": "hadamard", "params": {"phi": 0.0}})
+    code, out, err = run_cli(
+        capsys, "selftest", "--family", "hadamard", "--gate", path,
+        "--eps", "0.3", "--seed", "5", f"--delta={delta}",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: delta must be") and err.count("\n") == 1
+
+
 def test_selftest_pair_family(capsys, gate_file):
     h = gate_file("h.json", {"kind": "hadamard", "params": {"phi": 0.2}})
     x = gate_file("x.json", {"kind": "not", "params": {"phi": 0.2}})

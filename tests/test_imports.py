@@ -1,7 +1,9 @@
-"""No module of the package imports a name it never uses, or defines a
-private module-level name it never reads.
+"""No module of the package imports a name it never uses, defines a
+private module-level name it never reads, or patches a value after building
+it by assigning to an attribute of anything but ``self``.
 
-``__init__.py`` is left out: its imports are the package's public names.
+The first two guards leave ``__init__.py`` out: its imports are the
+package's public names.
 """
 
 import ast
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gateselftest"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,6 +55,19 @@ def unread_private_names(source: str) -> list[str]:
     ]
 
 
+def attribute_patches(source: str) -> list[str]:
+    """Stores to ``obj.attr`` with obj not ``self``, by plain, augmented or
+    annotated assignment (or any other binding)."""
+    found = sorted(
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    )
+    return [f"line {line}: {text}" for line, text in found]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
@@ -84,4 +100,29 @@ def test_guard_sees_an_unread_private_name():
         "line 2: _SPARE",
         "line 2: _ALSO",
         "line 5: _Dead",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_patches_no_value_after_building_it(path):
+    assert attribute_patches(path.read_text()) == []
+
+
+def test_guard_sees_an_attribute_patch():
+    source = (
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.value = 1\n"
+        "box = Box()\n"
+        "box.value = 2\n"
+        "box.value += 1\n"
+        "box.note: str = 'x'\n"
+        "box.items[0] = 3\n"
+        "first, box.rest = 4, 5\n"
+    )
+    assert attribute_patches(source) == [
+        "line 5: box.value",
+        "line 6: box.value",
+        "line 7: box.note",
+        "line 9: box.rest",
     ]

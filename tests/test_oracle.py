@@ -34,6 +34,13 @@ def test_single_gate_needs_no_tuple():
     assert len(oracle.gates) == 1
 
 
+def test_gates_may_come_from_any_iterable():
+    # the oracle reads a gate tuple by the same rule as every other entry point
+    h = hadamard(0.3)
+    from_generator = Oracle((g for g in [h]), seed=1).estimate(EQ_HALF, 500)
+    assert from_generator == Oracle((h,), seed=1).estimate(EQ_HALF, 500)
+
+
 def test_query_counting():
     oracle = Oracle(hadamard(0.0), seed=2)
     for _ in range(5):

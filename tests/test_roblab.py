@@ -19,6 +19,7 @@ from gateselftest import (
     scan_csv_text,
     transpose_map,
 )
+from gateselftest import roblab
 from gateselftest.roblab import SCAN_CSV_HEADER
 
 from helpers import random_cptp
@@ -75,6 +76,19 @@ def test_scan_accepts_custom_base_gates():
     records = noise_scan(Family("hadamard"), "depolarize", (0.0,), base)
     assert records[0].epsilon <= 1e-12
     assert records[0].distance <= 1e-5
+    # one gate needs no tuple, as everywhere else
+    assert noise_scan(Family("hadamard"), "depolarize", (0.0,), hadamard(1.9)) == records
+
+
+def test_scan_validates_every_strength_before_any_fit(monkeypatch):
+    # an out-of-range strength at the end of the grid must fail at once,
+    # not after a distance search for every point before it
+    def no_fit(*args, **kwargs):
+        raise AssertionError("dist_to_family ran before the grid was validated")
+
+    monkeypatch.setattr(roblab, "dist_to_family", no_fit)
+    with pytest.raises(ValueError, match="amplitude_damp"):
+        noise_scan(Family("hadamard"), "amplitude_damp", [0.01, 1.5])
 
 
 # ---------------------------------------------------------------------------

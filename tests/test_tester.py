@@ -136,6 +136,18 @@ def test_caller_supplied_delta():
     assert "caller" in verdict.delta2_note
 
 
+def test_delta_must_be_a_finite_nonnegative_radius():
+    # a NaN or infinite radius would reach the report as NaN or Infinity,
+    # which is not JSON; a zero radius is a valid claim
+    for delta in (math.nan, math.inf, -math.inf, -1.0):
+        oracle = Oracle(hadamard(0.0), seed=1)
+        with pytest.raises(ValueError, match="delta"):
+            run_tester(oracle, HSET, eps=0.2, delta=delta)
+        assert oracle.query_count == 0
+    verdict = run_tester(Oracle(hadamard(0.0), seed=1), HSET, eps=0.2, delta=0)
+    assert verdict.delta2 == 0.0
+
+
 def test_non_hadamard_family_has_no_default_radius():
     eqset = family_equations(Family("h-not"))
     oracle = Oracle(member_gates(Family("h-not"), 0.5), seed=2)
