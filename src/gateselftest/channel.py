@@ -28,7 +28,7 @@ import numpy as np
 
 from .angles import parse_angle
 from .bloch import rotation_unitary
-from .qstate import DensityMatrix, NumericsError
+from .qstate import DensityMatrix, svd
 
 CP_TOL = 1e-10
 TP_TOL = 1e-10
@@ -242,13 +242,7 @@ def cnot(phi: float = 0.0) -> Channel:
 
 def measurement(n: int = 1) -> Channel:
     """Complete von Neumann measurement: kills all off-diagonal entries."""
-    d = 2**n
-    ops = []
-    for i in range(d):
-        k = np.zeros((d, d), dtype=complex)
-        k[i, i] = 1.0
-        ops.append(k)
-    return from_kraus(ops)
+    return from_kraus(np.diag(row) for row in np.eye(2**n, dtype=complex))
 
 
 def transpose_map() -> Channel:
@@ -395,15 +389,8 @@ def _ascent_starts(dim: int, count: int, seed: int) -> tuple[np.ndarray, np.ndar
     return u, v
 
 
-def _svd(m: np.ndarray, compute_uv: bool = True):
-    try:
-        return np.linalg.svd(m, compute_uv=compute_uv)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError("SVD did not converge inside the norm optimiser") from exc
-
-
 def _trace_norm_batch(m: np.ndarray) -> np.ndarray:
-    return _svd(m, compute_uv=False).sum(axis=-1)
+    return svd(m, compute_uv=False).sum(axis=-1)
 
 
 def _images(delta: np.ndarray, u, v) -> np.ndarray:
@@ -427,7 +414,7 @@ def _polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     det M = 0, and M = 0 gets the identity.  Larger matrices use the SVD.
     """
     if m.shape[-1] != 2:
-        uu, sing, vh = _svd(m)
+        uu, sing, vh = svd(m)
         return sing.sum(axis=-1), uu @ vh
     f = np.ascontiguousarray(m).reshape(*m.shape[:-2], 4)
     det = f[..., 0] * f[..., 3] - f[..., 1] * f[..., 2]

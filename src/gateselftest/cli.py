@@ -72,8 +72,17 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
+def _emit(args, payload: dict, seed: int | None = None) -> None:
+    """Write a JSON report: the payload under the tool version and the seed."""
+    report = {"tool_version": __version__, "seed": seed, **payload}
+    _write(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
+
+
+def _seed(text: str) -> int:
+    """Type of the seed options: an integer >= 0, used as given."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _check_scan_points(count: int) -> None:
@@ -99,10 +108,7 @@ def _parse_grid(text: str):
 def _cmd_equations(args) -> int:
     family = _family_from_args(args)
     eqset = family_equations(family)
-    _emit(
-        {"tool_version": __version__, "seed": None, **eqset.to_dict()},
-        args.out,
-    )
+    _emit(args, eqset.to_dict())
     return EXIT_PASS
 
 
@@ -112,17 +118,14 @@ def _cmd_check(args) -> int:
     eqset = family_equations(family)
     violation = max_violation(eqset, gates)
     fit = dist_to_family(gates, family, seed=args.opt_seed)
-    payload = {
-        "tool_version": __version__,
-        "seed": None,
+    _emit(args, {
         "family": family.label,
         "max_violation": violation,
         "distance": fit.distance,
         "phi": fit.phi,
         "sign": fit.sign,
         "converged": fit.converged,
-    }
-    _emit(payload, args.out)
+    })
     if not fit.converged:
         return EXIT_NUMERIC
     return EXIT_PASS
@@ -134,13 +137,7 @@ def _cmd_selftest(args) -> int:
     eqset = family_equations(family)
     oracle = Oracle(gates, args.seed)
     verdict = run_tester(oracle, eqset, args.eps, args.delta)
-    payload = {
-        "tool_version": __version__,
-        "seed": args.seed,
-        "family": family.label,
-        **verdict.to_dict(),
-    }
-    _emit(payload, args.out)
+    _emit(args, {"family": family.label, **verdict.to_dict()}, seed=args.seed)
     return EXIT_PASS if verdict.passed else EXIT_FAIL
 
 
@@ -158,14 +155,11 @@ def _cmd_distance(args) -> int:
     if len(gates) != 2:
         raise ValueError("distance needs exactly two --gate files")
     report = sup_norm_report(gates[0], gates[1], seed=args.opt_seed)
-    payload = {
-        "tool_version": __version__,
-        "seed": None,
+    _emit(args, {
         "distance": report.value,
         "spread": report.spread,
         "converged": report.converged,
-    }
-    _emit(payload, args.out)
+    })
     return EXIT_PASS if report.converged else EXIT_NUMERIC
 
 
@@ -193,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_family_options(check)
     check.add_argument("--gate", action="append", required=True, help="gate spec JSON file")
-    check.add_argument("--opt-seed", type=int, default=0)
+    check.add_argument("--opt-seed", type=_seed, default=0)
     check.add_argument("--out")
     check.set_defaults(func=_cmd_check)
 
@@ -203,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_family_options(selftest)
     selftest.add_argument("--gate", action="append", required=True)
     selftest.add_argument("--eps", type=float, required=True)
-    selftest.add_argument("--seed", type=int, required=True)
+    selftest.add_argument("--seed", type=_seed, required=True)
     selftest.add_argument("--delta", type=float, default=None)
     selftest.add_argument("--out")
     selftest.set_defaults(func=_cmd_selftest)
@@ -217,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list, 'lo:hi:n' (linear) or 'geom:lo:hi:n' (geometric)",
     )
     scan.add_argument("--gate", action="append", help="optional base gate spec files")
-    scan.add_argument("--opt-seed", type=int, default=0)
+    scan.add_argument("--opt-seed", type=_seed, default=0)
     scan.add_argument("--out")
     scan.set_defaults(func=_cmd_scan)
 
@@ -225,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "distance", help="superoperator distance between two gate specs"
     )
     dist.add_argument("--gate", action="append", required=True)
-    dist.add_argument("--opt-seed", type=int, default=0)
+    dist.add_argument("--opt-seed", type=_seed, default=0)
     dist.add_argument("--out")
     dist.set_defaults(func=_cmd_distance)
     return parser

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -80,17 +80,7 @@ class ExperimentalEquation:
         return sum(s.exp for s in self.program)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "arity": self.arity,
-            "program": [
-                {"var": s.var, "embed": s.embed.value, "exp": s.exp}
-                for s in self.program
-            ],
-            "w": self.w,
-            "v": self.v,
-            "r": self.r,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentalEquation":
@@ -171,11 +161,9 @@ def _embedded_transfer(step: Step, gates, n: int) -> np.ndarray:
             f"embedding {step.embed.value!r} needs a one-qubit gate for "
             f"variable {step.var}, got n={gate.n}"
         )
-    if step.embed == Embedding.LEFT:
-        return tensor_channels(gate, identity(1)).transfer
-    if step.embed == Embedding.RIGHT:
-        return tensor_channels(identity(1), gate).transfer
-    return tensor_channels(gate, gate).transfer
+    left = identity(1) if step.embed == Embedding.RIGHT else gate
+    right = identity(1) if step.embed == Embedding.LEFT else gate
+    return tensor_channels(left, right).transfer
 
 
 def probability_term(eq: ExperimentalEquation, gates) -> float:
@@ -192,13 +180,8 @@ def probability_term(eq: ExperimentalEquation, gates) -> float:
         if step.exp > 1:
             t = np.linalg.matrix_power(t, step.exp)
         total = total @ t
-    rho_vec = np.zeros(dim * dim, dtype=complex)
-    w_idx = int(eq.w, 2)
-    rho_vec[w_idx * dim + w_idx] = 1.0
-    out = total @ rho_vec
-    v_idx = int(eq.v, 2)
-    p = float(np.real(out[v_idx * dim + v_idx]))
-    return min(1.0, max(0.0, p))
+    w, v = int(eq.w, 2), int(eq.v, 2)
+    return min(1.0, max(0.0, float(total[v * dim + v, w * dim + w].real)))
 
 
 def max_violation(eqset: EquationSet, gates) -> float:
@@ -225,14 +208,13 @@ def z_k(alpha: float, theta: float, k: int) -> float:
     return c * c + s * s * math.cos(k * alpha)
 
 
-def _single(var: int, arity: int, exp: int, w: str, v: str, r: float, n: int = 1):
-    return ExperimentalEquation(
-        n=n, arity=arity, program=(Step(var, Embedding.WHOLE, exp),), w=w, v=v, r=r
-    )
+def _word(arity: int, steps, w: str, v: str, r: float):
+    """The equation running ``steps`` on |w> over the len(w)-qubit register."""
+    return ExperimentalEquation(len(w), arity, steps, w, v, r)
 
 
-def _word(arity: int, steps, w: str, v: str, r: float, n: int = 1):
-    return ExperimentalEquation(n=n, arity=arity, program=tuple(steps), w=w, v=v, r=r)
+def _single(var: int, arity: int, exp: int, w: str, v: str, r: float):
+    return _word(arity, (Step(var, exp=exp),), w, v, r)
 
 
 def rotation_equations(frac: Fraction, theta: float, *, var: int, arity: int):
@@ -255,13 +237,7 @@ def hadamard_equations(var: int, arity: int):
 
 def _conjugated(f_var: int, g_var: int, arity: int, g_exp: int, r: float):
     # F o G^k o F applied to |0>, compared against r.
-    return _word(
-        arity,
-        (Step(f_var), Step(g_var, Embedding.WHOLE, g_exp), Step(f_var)),
-        "0",
-        "0",
-        r,
-    )
+    return _word(arity, (Step(f_var), Step(g_var, exp=g_exp), Step(f_var)), "0", "0", r)
 
 
 def not_equations(f_var: int, g_var: int, arity: int):
@@ -288,18 +264,13 @@ def phase_equations(frac: Fraction, f_var: int, g_var: int, arity: int):
 
 def cnot_equations(f_var: int, c_var: int, arity: int):
     rows = [("00", "00"), ("01", "01"), ("10", "11"), ("11", "10")]
-    eqs = [
-        ExperimentalEquation(
-            n=2, arity=arity, program=(Step(c_var),), w=w, v=v, r=1.0
-        )
-        for w, v in rows
-    ]
-    right = Step(f_var, Embedding.RIGHT, 1)
-    left = Step(f_var, Embedding.LEFT, 1)
-    pair = Step(f_var, Embedding.PAIR, 1)
-    eqs.append(_word(arity, (right, Step(c_var), right), "00", "00", 1.0, n=2))
-    eqs.append(_word(arity, (right, Step(c_var), right), "10", "10", 1.0, n=2))
-    eqs.append(_word(arity, (left, Step(c_var, Embedding.WHOLE, 2), left), "00", "00", 1.0, n=2))
-    eqs.append(_word(arity, (left, Step(c_var, Embedding.WHOLE, 2), left), "01", "01", 1.0, n=2))
-    eqs.append(_word(arity, (pair, Step(c_var), pair), "00", "00", 1.0, n=2))
+    eqs = [_word(arity, (Step(c_var),), w, v, 1.0) for w, v in rows]
+    right = Step(f_var, Embedding.RIGHT)
+    left = Step(f_var, Embedding.LEFT)
+    pair = Step(f_var, Embedding.PAIR)
+    eqs.append(_word(arity, (right, Step(c_var), right), "00", "00", 1.0))
+    eqs.append(_word(arity, (right, Step(c_var), right), "10", "10", 1.0))
+    eqs.append(_word(arity, (left, Step(c_var, exp=2), left), "00", "00", 1.0))
+    eqs.append(_word(arity, (left, Step(c_var, exp=2), left), "01", "01", 1.0))
+    eqs.append(_word(arity, (pair, Step(c_var), pair), "00", "00", 1.0))
     return eqs

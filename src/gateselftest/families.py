@@ -87,34 +87,36 @@ _CNOT = (lambda fam, alpha: cnot(), (1,))
 FAMILIES = {
     "hadamard": FamilySpec(
         members=(_H,),
-        equations=lambda fam: hadamard_equations(0, 1),
+        equations=lambda fam: hadamard_equations(0, fam.arity),
         sqrt_law_coeff=HADAMARD_ROBUSTNESS_COEFF,
     ),
     "rotation": FamilySpec(
         members=((lambda fam, alpha: rotation_gate(alpha, fam.theta, 0.0), (0,)),),
-        equations=lambda fam: rotation_equations(fam.alpha, fam.theta, var=0, arity=1),
+        equations=lambda fam: rotation_equations(fam.alpha, fam.theta, var=0, arity=fam.arity),
         takes_alpha=True,
         takes_theta=True,
     ),
     "h-not": FamilySpec(
         members=(_H, (lambda fam, alpha: not_gate(), (0,))),
-        equations=lambda fam: hadamard_equations(0, 2) + not_equations(0, 1, 2),
+        equations=lambda fam: hadamard_equations(0, fam.arity)
+        + not_equations(0, 1, fam.arity),
     ),
     "h-phase": FamilySpec(
         members=(_H, _PHASE),
-        equations=lambda fam: hadamard_equations(0, 2)
-        + phase_equations(fam.alpha, 0, 1, 2),
+        equations=lambda fam: hadamard_equations(0, fam.arity)
+        + phase_equations(fam.alpha, 0, 1, fam.arity),
         takes_alpha=True,
     ),
     "h-cnot": FamilySpec(
         members=(_H, _CNOT),
-        equations=lambda fam: hadamard_equations(0, 2) + cnot_equations(0, 1, 2),
+        equations=lambda fam: hadamard_equations(0, fam.arity)
+        + cnot_equations(0, 1, fam.arity),
     ),
     "h-phase-cnot": FamilySpec(
         members=(_H, _PHASE, _CNOT),
-        equations=lambda fam: hadamard_equations(0, 3)
-        + phase_equations(fam.alpha, 0, 1, 3)
-        + cnot_equations(0, 2, 3),
+        equations=lambda fam: hadamard_equations(0, fam.arity)
+        + phase_equations(fam.alpha, 0, 1, fam.arity)
+        + cnot_equations(0, 2, fam.arity),
         takes_alpha=True,
         default_alpha=Fraction(1, 4),
     ),
@@ -137,7 +139,8 @@ class Family:
 
     ``alpha`` is in units of pi: a ``Fraction``, an ``int`` or a string such
     as ``"1/4"``.  A float or a bool is rejected, since a float would stand
-    for its binary fraction and ``True`` would read as pi.
+    for its binary fraction and ``True`` would read as pi.  ``theta`` is in
+    radians; a bool is rejected, since ``True`` would read as 1 rad.
     """
 
     kind: str
@@ -159,8 +162,8 @@ class Family:
         elif self.alpha is not None:
             raise ValueError(f"family {self.kind!r} takes no alpha parameter")
         if spec.takes_theta:
-            if self.theta is None:
-                raise ValueError(f"{self.kind} family needs a latitude theta")
+            if self.theta is None or isinstance(self.theta, bool):
+                raise ValueError(f"{self.kind} needs a latitude theta, got {self.theta!r}")
             th = float(self.theta)
             if not 0.0 < th <= math.pi / 2.0 + 1e-12:
                 raise ValueError(f"theta must lie in (0, pi/2], got {th}")

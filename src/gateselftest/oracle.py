@@ -45,8 +45,10 @@ class Oracle:
                     f"gate {i} is not a valid quantum operation "
                     f"(cp={g.is_cp}, tp={g.is_tp})"
                 )
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"oracle seed must be an integer >= 0, got {seed!r}")
         self.gates = gates
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed)
         self.query_count = 0
         # Equation key -> (outcome probability, its random stream).
         self._experiments: dict[int, tuple[float, np.random.Generator]] = {}

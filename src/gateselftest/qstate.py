@@ -117,14 +117,17 @@ def rho_of(p: float, alpha: complex) -> DensityMatrix:
     return DensityMatrix(arr, validate=False)
 
 
+def svd(m: np.ndarray, compute_uv: bool = True):
+    """``np.linalg.svd`` of a matrix or a stack, raising NumericsError if it fails."""
+    try:
+        return np.linalg.svd(m, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError("SVD did not converge") from exc
+
+
 def trace_norm(v) -> float:
     """Trace norm: the sum of singular values of a square matrix."""
-    arr = _as_matrix(v)
-    try:
-        s = np.linalg.svd(arr, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError("SVD did not converge while computing a trace norm") from exc
-    return float(s.sum())
+    return float(svd(_as_matrix(v), compute_uv=False).sum())
 
 
 def tensor(a, b):

@@ -219,6 +219,30 @@ def test_selftest_rejects_a_delta_that_is_not_a_finite_radius(capsys, gate_file,
     assert err.startswith("error: delta must be") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("selftest", "--seed"),
+        ("check", "--opt-seed"),
+        ("scan", "--opt-seed"),
+        ("distance", "--opt-seed"),
+    ],
+)
+def test_negative_seed_is_usage_error(capsys, gate_file, command, option):
+    # a seed is used as given, so a negative one names no seed
+    path = gate_file("h.json", {"kind": "hadamard", "params": {"phi": 0.0}})
+    argv = {
+        "selftest": ["--family", "hadamard", "--gate", path, "--eps", "0.3"],
+        "check": ["--family", "hadamard", "--gate", path],
+        "scan": ["--family", "hadamard", "--noise", "depolarize", "--grid", "0"],
+        "distance": ["--gate", path, "--gate", path],
+    }[command]
+    code, out, err = run_cli(capsys, command, *argv, option, "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"argument {option}: expected an integer >= 0" in err
+
+
 def test_selftest_pair_family(capsys, gate_file):
     h = gate_file("h.json", {"kind": "hadamard", "params": {"phi": 0.2}})
     x = gate_file("x.json", {"kind": "not", "params": {"phi": 0.2}})

@@ -59,6 +59,8 @@ def test_theta_range():
         Family("rotation", alpha="1/3", theta=0.0)
     with pytest.raises(ValueError):
         Family("rotation", alpha="1/3", theta=2.0)  # beyond the equator
+    with pytest.raises(ValueError, match="theta"):
+        Family("rotation", alpha="1/3", theta=True)  # would read as 1 rad
 
 
 def test_arity_and_signs():

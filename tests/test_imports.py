@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, defines a
 private module-level name it never reads, or patches a value after building
-it by assigning to an attribute of anything but ``self``.
+it by assigning to an attribute of anything but ``self``; and only
+``qstate.py`` calls ``np.linalg.svd``, behind its one ``NumericsError`` guard.
 
 The first two guards leave ``__init__.py`` out: its imports are the
 package's public names.
@@ -125,4 +126,43 @@ def test_guard_sees_an_attribute_patch():
         "line 6: box.value",
         "line 7: box.note",
         "line 9: box.rest",
+    ]
+
+
+def linalg_svd_uses(source: str) -> list[str]:
+    """Calls of ``<anything>.linalg.svd`` and imports of ``svd`` from ``numpy.linalg``."""
+    found = sorted(
+        (node.lineno, ast.unparse(node.func if isinstance(node, ast.Call) else node))
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("linalg.svd"))
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "numpy.linalg"
+            and any(alias.name == "svd" for alias in node.names)
+        )
+    )
+    return [f"line {line}: {text}" for line, text in found]
+
+
+NOT_QSTATE = [p for p in SOURCES if p.name != "qstate.py"]
+
+
+@pytest.mark.parametrize("path", NOT_QSTATE, ids=[p.name for p in NOT_QSTATE])
+def test_only_qstate_calls_the_svd(path):
+    assert linalg_svd_uses(path.read_text()) == []
+
+
+def test_guard_sees_an_svd_call():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import svd\n"
+        "np.linalg.svd(m)\n"
+        "np.linalg.svd(m, compute_uv=False).sum()\n"
+        "np.linalg.eigvalsh(m)\n"
+        "qstate.svd(m)\n"
+    )
+    assert linalg_svd_uses(source) == [
+        "line 2: from numpy.linalg import svd",
+        "line 3: np.linalg.svd",
+        "line 4: np.linalg.svd",
     ]

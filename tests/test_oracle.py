@@ -78,6 +78,19 @@ def test_different_seeds_give_different_bits():
     assert a != b
 
 
+def test_seed_is_used_as_given():
+    # no bits are dropped: 2**64 + 1 is not seed 1
+    low = Oracle(hadamard(0.0), seed=1).estimate(EQ_HALF, 500)
+    assert Oracle(hadamard(0.0), seed=2**64 + 1).estimate(EQ_HALF, 500) != low
+    assert Oracle(hadamard(0.0), seed=np.uint64(1)).estimate(EQ_HALF, 500) == low
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "1"])
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed"):
+        Oracle(hadamard(0.0), seed=seed)
+
+
 def test_equation_streams_are_order_independent():
     # per-equation substreams: interleaving or reordering other equations
     # must not change any equation's own draws
