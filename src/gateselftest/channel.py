@@ -179,14 +179,18 @@ def power(g: Channel, k: int) -> Channel:
     return _channel_from_transfer(np.linalg.matrix_power(g.transfer, k))
 
 
+def tensor_transfers(tg: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Transfer matrix of the parallel composition of two transfer matrices."""
+    dg, dh = math.isqrt(tg.shape[0]), math.isqrt(th.shape[0])
+    d = dg * dh
+    return np.einsum(
+        "KLIJ,klij->KkLlIiJj", tg.reshape(dg, dg, dg, dg), th.reshape(dh, dh, dh, dh)
+    ).reshape(d * d, d * d)
+
+
 def tensor_channels(g: Channel, h: Channel) -> Channel:
     """Parallel composition acting on the concatenated qubit registers."""
-    dg, dh = g.dim, h.dim
-    tg = g.transfer.reshape(dg, dg, dg, dg)
-    th = h.transfer.reshape(dh, dh, dh, dh)
-    d = dg * dh
-    joint = np.einsum("KLIJ,klij->KkLlIiJj", tg, th).reshape(d * d, d * d)
-    return _channel_from_transfer(joint)
+    return _channel_from_transfer(tensor_transfers(g.transfer, h.transfer))
 
 
 def phase_orbit(g: Channel, qubits, phis) -> np.ndarray:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import Channel, gate_tuple, identity, tensor_channels
+from .channel import Channel, gate_tuple, tensor_transfers
 
 MAX_TOTAL_EXPONENT = 10**6
 
@@ -84,17 +84,29 @@ class ExperimentalEquation:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentalEquation":
+        """The equation of a ``to_dict`` payload.  The counts ``n``, ``arity``,
+        ``var`` and ``exp`` must be integers and ``r`` a number, none of them
+        a bool, and ``w`` and ``v`` strings; a value of another type is
+        rejected, not truncated or converted."""
         return cls(
-            n=int(d["n"]),
-            arity=int(d["arity"]),
+            n=_typed(d, "n", int),
+            arity=_typed(d, "arity", int),
             program=tuple(
-                Step(int(s["var"]), Embedding(s["embed"]), int(s["exp"]))
+                Step(_typed(s, "var", int), Embedding(s["embed"]), _typed(s, "exp", int))
                 for s in d["program"]
             ),
-            w=str(d["w"]),
-            v=str(d["v"]),
-            r=float(d["r"]),
+            w=_typed(d, "w", str),
+            v=_typed(d, "v", str),
+            r=float(_typed(d, "r", (int, float))),
         )
+
+
+def _typed(d: dict, field: str, types):
+    """``d[field]`` if it is one of ``types`` and not a bool, else ``ValueError``."""
+    value = d[field]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"equation field {field!r} has the wrong type: {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -161,9 +173,10 @@ def _embedded_transfer(step: Step, gates, n: int) -> np.ndarray:
             f"embedding {step.embed.value!r} needs a one-qubit gate for "
             f"variable {step.var}, got n={gate.n}"
         )
-    left = identity(1) if step.embed == Embedding.RIGHT else gate
-    right = identity(1) if step.embed == Embedding.LEFT else gate
-    return tensor_channels(left, right).transfer
+    eye = np.eye(4, dtype=complex)
+    left = eye if step.embed == Embedding.RIGHT else gate.transfer
+    right = eye if step.embed == Embedding.LEFT else gate.transfer
+    return tensor_transfers(left, right)
 
 
 def probability_term(eq: ExperimentalEquation, gates) -> float:

@@ -138,9 +138,10 @@ class Family:
       ``alpha`` defaults to pi/4.
 
     ``alpha`` is in units of pi: a ``Fraction``, an ``int`` or a string such
-    as ``"1/4"``.  A float or a bool is rejected, since a float would stand
-    for its binary fraction and ``True`` would read as pi.  ``theta`` is in
-    radians; a bool is rejected, since ``True`` would read as 1 rad.
+    as ``"1/4"``.  A float or a bool (Python's or numpy's) is rejected, since
+    a float would stand for its binary fraction and ``True`` would read as pi.
+    ``theta`` is in radians; a bool of either kind is rejected, since ``True``
+    would read as 1 rad.
     """
 
     kind: str
@@ -153,7 +154,7 @@ class Family:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if spec.takes_alpha:
             alpha = spec.default_alpha if self.alpha is None else self.alpha
-            if alpha is None or isinstance(alpha, (float, bool)):
+            if alpha is None or isinstance(alpha, (float, bool, np.bool_)):
                 raise ValueError(f"{self.kind} needs alpha as a fraction of pi, got {alpha!r}")
             frac = Fraction(alpha)
             if not 0 < frac <= 1:
@@ -162,7 +163,7 @@ class Family:
         elif self.alpha is not None:
             raise ValueError(f"family {self.kind!r} takes no alpha parameter")
         if spec.takes_theta:
-            if self.theta is None or isinstance(self.theta, bool):
+            if self.theta is None or isinstance(self.theta, (bool, np.bool_)):
                 raise ValueError(f"{self.kind} needs a latitude theta, got {self.theta!r}")
             th = float(self.theta)
             if not 0.0 < th <= math.pi / 2.0 + 1e-12:
@@ -335,18 +336,25 @@ def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 
     Each member is built once per sign, at phi = 0; every member at phi is
     its phase-orbit point (see ``FamilySpec``).  Per sign, a grid of
     PHI_GRID_POINTS longitudes picks the bracket that a bounded scalar search
-    refines to PHI_TOL.  The distance and ``converged`` come from full-start
-    evaluations at the returned member, so the distance is a certified lower
-    bound there.
+    refines to PHI_TOL.  The grid and every search step evaluate the
+    phi-dependent members at ``grid_starts`` ascent starts.  The
+    phi-independent members and the final evaluation at the returned phi use
+    ``sup_norm_report``'s full 64 starts, so the distance and ``converged``
+    are full-start evaluations at the returned member, and the distance is a
+    certified lower bound there: the search only decides where to certify.
+    The returned ``phi`` is the minimiser the search found.  It is determined
+    only where the distance is not flat in phi; on a flat stretch any phi in
+    it is as good.
 
     Every member's distance is a lower bound on the worst one, so the signs
     (bounded by their phi-independent members) and the grid points (bounded
     by their 1-qubit members) are both searched by ``pruned_argmin``, and the
     result is the full search's, bit for bit.  A 1-qubit member's grid is one
     ``phase_orbit`` stack of differences for ``sup_norm_values``.
-    ``grid_starts`` stays a parameter, and grid evaluations pass it as
+    ``grid_starts`` stays a parameter, and search evaluations pass it as
     ``starts=`` by keyword, because ``bench/spans.py`` reads its default and
-    that keyword to tell grid evaluations from refinement ones.
+    that keyword to tell search evaluations (its "grid" label) from the
+    full-start ones (its "refine" label).
     """
     gates = gate_tuple(gates)
     if len(gates) != family.arity:
@@ -395,7 +403,7 @@ def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 
             lower, lambda j: worst(lower[j], reports(index, phis[j], dear, starts=grid_starts))
         )
         res = minimize_scalar(
-            lambda phi: worst(floor, reports(index, phi, moving)),
+            lambda phi: worst(floor, reports(index, phi, moving, starts=grid_starts)),
             ((j_best - 1) * step, (j_best + 1) * step),
         )
         phi_star = res.x % TWO_PI

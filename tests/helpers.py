@@ -98,3 +98,14 @@ def reference_apply(channel, rho):
 def bernoulli_mean_band(p, samples, z=3.9):
     """Half-width of a ~1e-4 tail band for a Bernoulli mean estimate."""
     return z * np.sqrt(max(p * (1 - p), 1e-12) / samples)
+
+
+def depolarize_distance(lam, qubits):
+    """Distance of a member depolarised at lam to its family: lam max(1, 2(1 - 1/d)).
+
+    A depolarised pure state is at trace distance 2 lam (1 - 1/d) from every
+    pure state, an off-diagonal input u v^+ loses lam, and the member itself
+    attains both.
+    """
+    d = 2**qubits
+    return lam * max(1.0, 2.0 * (1.0 - 1.0 / d))

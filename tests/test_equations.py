@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,63 @@ def test_dict_roundtrip_single_equation():
         r=0.25,
     )
     assert ExperimentalEquation.from_dict(eq.to_dict()) == eq
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN.glob("equations-*.json")), ids=lambda path: path.name
+)
+def test_golden_equation_sets_roundtrip_unchanged(path):
+    payload = json.loads(path.read_text())
+    again = EquationSet.from_dict(payload).to_dict()
+    expected = {key: payload[key] for key in again}
+    assert json.dumps(again, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def equation_payload(field=None, value=None) -> dict:
+    """A valid one-step equation dict, with one field set to value."""
+    step = {"var": 0, "embed": "whole", "exp": 2}
+    payload = {"n": 1, "arity": 1, "program": [step], "w": "0", "v": "0", "r": 1.0}
+    if field in step:
+        step[field] = value
+    elif field is not None:
+        payload[field] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 1.9),
+        ("n", True),
+        ("n", "1"),
+        ("arity", 1.0),
+        ("arity", False),
+        ("var", 0.0),
+        ("var", False),
+        ("exp", 2.7),
+        ("exp", True),
+        ("r", True),
+        ("r", "1"),
+        ("r", None),
+        ("w", 0),
+        ("v", 0),
+    ],
+)
+def test_from_dict_rejects_a_mistyped_field(field, value):
+    # A float count used to be truncated, a bool read as 0 or 1 and an
+    # integer bit string read as its digits, so the payload silently became
+    # another equation.
+    with pytest.raises(ValueError, match=repr(field)):
+        ExperimentalEquation.from_dict(equation_payload(field, value))
+
+
+def test_from_dict_reads_an_integer_constant_as_a_float():
+    eq = ExperimentalEquation.from_dict(equation_payload("r", 1))
+    assert eq.r == 1.0 and isinstance(eq.r, float)
+    assert eq == ExperimentalEquation.from_dict(equation_payload())
 
 
 # ---------------------------------------------------------------------------

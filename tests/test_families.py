@@ -17,6 +17,7 @@ from gateselftest import (
 )
 from gateselftest.channel import NoiseModel, apply_noise, cnot, sup_norm_report
 from gateselftest.families import PHI_TOL, minimize_scalar
+from helpers import depolarize_distance
 
 
 def test_family_kind_validation():
@@ -43,6 +44,9 @@ def test_alpha_range():
         Family("h-phase", alpha=0.1)
     with pytest.raises(ValueError, match="alpha"):
         Family("h-phase", alpha=True)
+    # numpy's bool is no Python bool; Fraction used to raise TypeError on it.
+    with pytest.raises(ValueError, match="alpha"):
+        Family("h-phase", alpha=np.True_)
 
 
 def test_rotation_excludes_the_not_point():
@@ -61,6 +65,8 @@ def test_theta_range():
         Family("rotation", alpha="1/3", theta=2.0)  # beyond the equator
     with pytest.raises(ValueError, match="theta"):
         Family("rotation", alpha="1/3", theta=True)  # would read as 1 rad
+    with pytest.raises(ValueError, match="theta"):
+        Family("rotation", alpha="1/3", theta=np.True_)
 
 
 def test_arity_and_signs():
@@ -181,6 +187,31 @@ def test_dist_depolarized_h_cnot_member():
     assert abs(fit.phi - phi) <= PHI_TOL
     assert fit.sign == 1
     assert fit.converged
+
+
+@pytest.mark.parametrize("phi", np.random.default_rng(14).uniform(0.0, 2.0 * math.pi, 2))
+def test_depolarized_h_cnot_fit_certifies_the_closed_form(phi):
+    # The phi search runs at the grid's starts and the final evaluation at
+    # full starts; that certificate must be the closed form of the worse
+    # gate, the 2-qubit CNOT, at the member's own (pinned) phi.
+    lam = 0.05
+    fit = dist_to_family(_depolarized((hadamard(phi), cnot(phi)), lam), Family("h-cnot"))
+    assert abs(fit.distance - depolarize_distance(lam, 2)) <= 1e-12
+    assert abs(math.remainder(fit.phi - phi, 2.0 * math.pi)) <= 1e-6
+    assert fit.converged
+
+
+def test_unpinned_phi_stays_in_its_flat_minimum():
+    # The damped NOT is the worse gate, at 2 * 0.03 for every phi in about
+    # [1.09, 1.12], so the distance does not pin phi down there.  The search
+    # may return any phi on that stretch, but no phi outside it.
+    gates = (
+        apply_noise(hadamard(1.1), NoiseModel("depolarize", 0.04)),
+        apply_noise(not_gate(1.1), NoiseModel("amplitude_damp", 0.03)),
+    )
+    fit = dist_to_family(gates, Family("h-not"))
+    assert abs(fit.distance - 0.06) <= 1e-12
+    assert 1.09 <= fit.phi <= 1.12
 
 
 def test_dist_depolarized_triple_member_with_negative_sign():
