@@ -35,7 +35,8 @@ TP_TOL = 1e-10
 CHOI_CLOSE_TOL = 1e-10
 SPREAD_FLAG_TOL = 1e-4
 # The norm ascent stops after ASCENT_MAX_ITER iterations, or once no start's
-# value moved by more than ASCENT_TOL * max(1, best value) in one iteration.
+# value moved by more than ASCENT_TOL * max(1, best value) in one iteration;
+# ASCENT_TOL is also its margin above a ceiling (see _ascent).
 ASCENT_MAX_ITER = 200
 ASCENT_TOL = 1e-13
 # rank_one_sample_max draws its rank-one operators in chunks of this many.
@@ -444,7 +445,7 @@ def _unit_rows(x: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return np.where(ok[..., None], x / np.where(ok, norm, 1.0)[..., None], fallback)
 
 
-def _ascent(delta: np.ndarray, starts: int, seed: int):
+def _ascent(delta: np.ndarray, starts: int, seed: int, floor=None, ceiling: float = math.inf):
     """Monotone alternating maximisation of ||Delta_g(u v*)||_1 for a stack of groups.
 
     ``delta`` holds G transfer matrices, and every group begins from the same
@@ -452,41 +453,69 @@ def _ascent(delta: np.ndarray, starts: int, seed: int):
     the exact solutions of the three partial problems: the dual unitary W
     (polar factor of the image), then the left and right vectors (each a
     normalised linear functional).  Every step is closed-form, so the
-    objective value never decreases between iterations.  A group stops once
-    none of its own starts moved by more than ASCENT_TOL in one iteration,
-    and leaves the stack; the others run on unchanged, so a group's result
-    does not depend on what it is stacked with.
-    Returns the final values (G, B) and vectors (G, B, d).
+    objective value never decreases between iterations.  A group finishes
+    once none of its own starts moved by more than ASCENT_TOL in one
+    iteration, and leaves the stack; the others run on unchanged, so a
+    group's result does not depend on what it is stacked with.
+
+    A group also stops once its running best, maxed with its ``floor`` entry
+    (0 without a floor), exceeds ``ceiling`` by more than
+    ``ASCENT_TOL * max(1, ceiling)``; it reports its values where it stopped.
+    With a ``floor``, each group that finishes lowers the ceiling to
+    ``max(floor, value)``.  The running best is an exact evaluation that the
+    ascent never falls below, so a stopped group would also have finished
+    above the ceiling, and ties never stop.
+    Returns the values (G, B) and vectors (G, B, d) where each group left.
     """
     d = math.isqrt(delta.shape[-1])
     u0, v0 = _ascent_starts(d, starts, seed)
     g, b = len(delta), len(u0)
     u, v = np.broadcast_to(u0, (g, b, d)), np.broadcast_to(v0, (g, b, d))
+    vals_out = np.empty((g, b))
     u_out, v_out = np.empty(u.shape, complex), np.empty(v.shape, complex)
     run, live = np.arange(g), delta
+    lows = np.zeros(g) if floor is None else np.asarray(floor, dtype=float)
     vals = np.zeros((g, b))
+
+    def leave(rows):
+        vals_out[run[rows]] = _trace_norm_batch(_images(live[rows], u[rows], v[rows]))
+        u_out[run[rows]], v_out[run[rows]] = u[rows], v[rows]
+
     for _ in range(ASCENT_MAX_ITER):
         new_vals, w = _polar(_images(live, u, v))
         dd = (w.conj().reshape(-1, b, d * d) @ live).reshape(-1, b, d, d)
         u = _unit_rows((dd @ v.conj()[..., None])[..., 0].conj(), u)
         v = _unit_rows((u[..., None, :] @ dd)[..., 0, :], v)
-        done = np.abs(new_vals - vals).max(axis=1) < ASCENT_TOL * np.maximum(
-            1.0, new_vals.max(axis=1)
-        )
+        best = new_vals.max(axis=1)
+        done = np.abs(new_vals - vals).max(axis=1) < ASCENT_TOL * np.maximum(1.0, best)
         vals = new_vals
         if done.any():
-            u_out[run[done]], v_out[run[done]] = u[done], v[done]
+            leave(done)
+            if floor is not None:
+                finished = run[done]
+                least = np.maximum(lows[finished], vals_out[finished].max(axis=1)).min()
+                ceiling = min(ceiling, float(least))
+        stop = ~done & (np.maximum(lows[run], best) > ceiling + ASCENT_TOL * max(1.0, ceiling))
+        if stop.any():
+            leave(stop)
+            done |= stop
+        if done.any():
             keep = ~done
             run, live, u, v, vals = run[keep], live[keep], u[keep], v[keep], vals[keep]
             if not run.size:
                 break
     else:
-        u_out[run], v_out[run] = u, v
-    return _trace_norm_batch(_images(delta, u_out, v_out)), u_out, v_out
+        leave(slice(None))
+    return vals_out, u_out, v_out
 
 
 def sup_norm_report(
-    g: Channel, h: Channel | None = None, *, starts: int = 64, seed: int = 0
+    g: Channel,
+    h: Channel | None = None,
+    *,
+    starts: int = 64,
+    seed: int = 0,
+    ceiling: float = math.inf,
 ) -> SupNormResult:
     """Maximise ||(G - H)(V)||_1 over the trace-norm unit ball.
 
@@ -494,33 +523,65 @@ def sup_norm_report(
     supremum is attained on rank-one V, so this is exhaustive in kind.  The
     spread between the best and the 90th-percentile start value is reported as
     a convergence diagnostic.  It is a stack of one group in ``_ascent``.
+
+    A caller that only needs to know whether the norm exceeds ``ceiling``
+    passes it: the ascent then stops once its running value exceeds the
+    ceiling by more than ``ASCENT_TOL * max(1, ceiling)``.  The value is still
+    an exact evaluation, and it lies above the ceiling only when the full
+    ascent's does too; such a report is not a certificate, so ``converged``
+    is cleared whenever the value exceeds the ceiling.  With the default
+    ``ceiling=math.inf`` the report is the full ascent's, bit for bit.
     """
     if h is not None and g.n != h.n:
         raise ValueError(f"cannot compare channels on {g.n} and {h.n} qubits")
     delta = g.transfer if h is None else g.transfer - h.transfer
     if np.abs(delta).max() < 1e-14:
         return SupNormResult(0.0, 0.0, True)
-    vals, u, v = _ascent(delta[None], starts, seed)
+    vals, u, v = _ascent(delta[None], starts, seed, ceiling=ceiling)
     vals, u, v = vals[0], u[0], v[0]
     best = int(np.argmax(vals))
     value = float(vals[best])
     spread = float(value - np.quantile(vals, 0.9))
-    return SupNormResult(value, spread, spread <= SPREAD_FLAG_TOL, u[best], v[best])
+    converged = spread <= SPREAD_FLAG_TOL and value <= ceiling
+    return SupNormResult(value, spread, converged, u[best], v[best])
 
 
-def sup_norm_values(deltas: np.ndarray, *, starts: int = 64, seed: int = 0) -> np.ndarray:
+def sup_norm_values(
+    deltas: np.ndarray, *, starts: int = 64, seed: int = 0, floor=None
+) -> np.ndarray:
     """The norm value of every transfer difference in a (G, D^2, D^2) stack.
 
-    Each value equals ``sup_norm_report`` on that difference with the same
-    ``starts`` and ``seed``, bit for bit.  Zero differences read 0.0 without an
-    ascent; the others run as the groups of ``_ascent`` stacks of at most
-    GRID_BLOCK, at a fraction of the per-call overhead.
+    Without a ``floor``, each value equals ``sup_norm_report`` on that
+    difference with the same ``starts`` and ``seed``, bit for bit.  Zero
+    differences read 0.0 without an ascent; the others run as the groups of
+    ``_ascent`` stacks of at most GRID_BLOCK, at a fraction of the per-call
+    overhead.  The stacks are taken coarse to fine: with n stacks, stack k
+    holds rows k, k + n, k + 2n, ... of the non-zero differences, so the
+    first one already spans the whole stack.
+
+    A ``floor`` (one entry per difference) asks only for the lowest-index
+    argmin of ``max(floor, values)``, and for the values where that argmin
+    decides nothing.  The ceiling of ``_ascent`` is then the least
+    ``max(floor, value)`` of the groups finished so far (zero differences
+    count as finished at 0), carried from stack to stack.  Every entry equals
+    the floorless value bit for bit, or it lies, like the floorless value,
+    above that least ``max(floor, value)``; so the argmin and its value are
+    the floorless ones.
     """
     values = np.zeros(len(deltas))
-    live = np.flatnonzero(~(np.abs(deltas).max(axis=(1, 2)) < 1e-14))
-    for first in range(0, len(live), GRID_BLOCK):
-        rows = live[first:first + GRID_BLOCK]
-        values[rows] = _ascent(deltas[rows], starts, seed)[0].max(axis=1)
+    zero = np.abs(deltas).max(axis=(1, 2)) < 1e-14
+    live = np.flatnonzero(~zero)
+    blocks = -(-len(live) // GRID_BLOCK)
+    if floor is not None:
+        floor = np.asarray(floor, dtype=float)
+        ceiling = float(np.maximum(floor[zero], 0.0).min(initial=math.inf))
+    for first in range(blocks):
+        rows = live[first::blocks]
+        if floor is None:
+            values[rows] = _ascent(deltas[rows], starts, seed)[0].max(axis=1)
+        else:
+            values[rows] = _ascent(deltas[rows], starts, seed, floor[rows], ceiling)[0].max(axis=1)
+            ceiling = min(ceiling, float(np.maximum(floor[rows], values[rows]).min()))
     return values
 
 

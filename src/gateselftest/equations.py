@@ -86,27 +86,42 @@ class ExperimentalEquation:
     def from_dict(cls, d: dict) -> "ExperimentalEquation":
         """The equation of a ``to_dict`` payload.  The counts ``n``, ``arity``,
         ``var`` and ``exp`` must be integers and ``r`` a number, none of them
-        a bool, and ``w`` and ``v`` strings; a value of another type is
-        rejected, not truncated or converted."""
+        a bool, ``w``, ``v`` and ``embed`` strings, and ``program`` a list of
+        step objects; a missing field or a value of another type raises
+        ``ValueError`` naming the field, and nothing is truncated or
+        converted."""
+        steps = _typed(d, "program", (list, tuple))
         return cls(
             n=_typed(d, "n", int),
             arity=_typed(d, "arity", int),
-            program=tuple(
-                Step(_typed(s, "var", int), Embedding(s["embed"]), _typed(s, "exp", int))
-                for s in d["program"]
-            ),
+            program=tuple(_step(s) for s in steps),
             w=_typed(d, "w", str),
             v=_typed(d, "v", str),
             r=float(_typed(d, "r", (int, float))),
         )
 
 
-def _typed(d: dict, field: str, types):
+def _typed(d: dict, field: str, types, owner: str = "equation"):
     """``d[field]`` if it is one of ``types`` and not a bool, else ``ValueError``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{owner} must be an object, got {d!r:.40}")
+    if field not in d:
+        raise ValueError(f"{owner} field {field!r} is missing")
     value = d[field]
     if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"equation field {field!r} has the wrong type: {value!r}")
+        raise ValueError(f"{owner} field {field!r} has the wrong type: {value!r:.40}")
     return value
+
+
+def _step(s: dict) -> Step:
+    if not isinstance(s, dict):
+        raise ValueError(f"equation field 'program' holds a step that is not an object: {s!r:.40}")
+    embed = _typed(s, "embed", str)
+    try:
+        embedding = Embedding(embed)
+    except ValueError:
+        raise ValueError(f"equation field 'embed' names no embedding: {embed!r:.40}") from None
+    return Step(_typed(s, "var", int), embedding, _typed(s, "exp", int))
 
 
 @dataclass(frozen=True)
@@ -145,12 +160,14 @@ class EquationSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EquationSet":
-        return cls(
-            equations=tuple(
-                ExperimentalEquation.from_dict(e) for e in d["equations"]
-            ),
-            family=d.get("family"),
-        )
+        """The set of a ``to_dict`` payload: ``equations`` a list of equation
+        objects, ``family`` a string, null or absent; ``d`` and ``k_max`` are
+        derived, not read.  A malformed field raises ``ValueError`` naming it."""
+        equations = _typed(d, "equations", (list, tuple), "equation set")
+        family = d.get("family")
+        if family is not None and not isinstance(family, str):
+            raise ValueError(f"equation set field 'family' has the wrong type: {family!r:.40}")
+        return cls(tuple(ExperimentalEquation.from_dict(e) for e in equations), family)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

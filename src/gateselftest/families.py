@@ -351,6 +351,18 @@ def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 
     by their 1-qubit members) are both searched by ``pruned_argmin``, and the
     result is the full search's, bit for bit.  A 1-qubit member's grid is one
     ``phase_orbit`` stack of differences for ``sup_norm_values``.
+
+    Only the grid's argmin is read, so a grid ascent may stop once it can no
+    longer be the argmin (see ``channel._ascent``).  The pass that completes
+    the grid objective gets the members before it as a floor: the last
+    1-qubit member, when the family has no 2-qubit member (H for hadamard
+    and h-phase, the rotation gate for rotation, NOT for h-not over the
+    statics and H).  A 1-qubit
+    pass that later members still raise gets no floor, since its own argmin
+    need not be the objective's.  Each 2-qubit grid visit gets the least
+    value returned so far as its ``ceiling``.  A stopped value lies above a
+    value that a finished evaluation attains, and ties never stop, so the
+    argmin, the bracket and every later step are those of the full search.
     ``grid_starts`` stays a parameter, and search evaluations pass it as
     ``starts=`` by keyword, because ``bench/spans.py`` reads its default and
     that keyword to tell search evaluations (its "grid" label) from the
@@ -378,9 +390,9 @@ def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 
     cheap = [i for i in moving if gates[i].n == 1]
     dear = [i for i in moving if gates[i].n > 1]
 
-    def reports(index, phi, which, **starts) -> list:
+    def reports(index, phi, which, **search) -> list:
         return [
-            sup_norm_report(gates[i], phased(built[index][i], qubits[i], phi), seed=seed, **starts)
+            sup_norm_report(gates[i], phased(built[index][i], qubits[i], phi), seed=seed, **search)
             for i in which
         ]
 
@@ -398,10 +410,22 @@ def dist_to_family(gates, family: Family, *, grid_starts: int = 16, seed: int = 
         lower = np.full(PHI_GRID_POINTS, floor)
         for i in cheap:
             deltas = gates[i].transfer - phase_orbit(built[index][i], qubits[i], phis)
-            lower = np.maximum(lower, sup_norm_values(deltas, starts=grid_starts, seed=seed))
-        j_best, _ = pruned_argmin(
-            lower, lambda j: worst(lower[j], reports(index, phis[j], dear, starts=grid_starts))
-        )
+            # Only the pass that completes the grid objective may stop above its argmin.
+            completes = i == cheap[-1] and not dear
+            values = sup_norm_values(
+                deltas, starts=grid_starts, seed=seed, floor=lower if completes else None
+            )
+            lower = np.maximum(lower, values)
+        least = math.inf
+
+        def visit(j) -> float:
+            nonlocal least
+            found = reports(index, phis[j], dear, starts=grid_starts, ceiling=least)
+            value = worst(lower[j], found)
+            least = min(least, value)
+            return value
+
+        j_best, _ = pruned_argmin(lower, visit)
         res = minimize_scalar(
             lambda phi: worst(floor, reports(index, phi, moving, starts=grid_starts)),
             ((j_best - 1) * step, (j_best + 1) * step),

@@ -33,7 +33,13 @@ from gateselftest import (
     zeta_states,
 )
 from gateselftest.bloch import affine_of_channel
-from gateselftest.channel import MAX_SPEC_QUBITS, NOISE_KINDS, phase_orbit, phased
+from gateselftest.channel import (
+    MAX_SPEC_QUBITS,
+    NOISE_KINDS,
+    SPREAD_FLAG_TOL,
+    phase_orbit,
+    phased,
+)
 
 from helpers import (
     choi_of_kraus,
@@ -670,8 +676,8 @@ def test_closed_form_polar_factor_of_zero_is_finite():
     assert np.abs(w.conj().transpose(0, 2, 1) @ w - np.eye(2)).max() <= 1e-14
 
 
-def _iterations(monkeypatch, g, h, starts):
-    """Ascent iterations of one per-call evaluation (one polar step each)."""
+def _polar_calls(monkeypatch, fn, *args, **kwargs):
+    """fn's result and the number of polar steps (ascent iterations) it made."""
     from gateselftest import channel
 
     count = [0]
@@ -682,9 +688,14 @@ def _iterations(monkeypatch, g, h, starts):
         return polar(m)
 
     monkeypatch.setattr(channel, "_polar", counted)
-    sup_norm_report(g, h, starts=starts)
+    result = fn(*args, **kwargs)
     monkeypatch.setattr(channel, "_polar", polar)
-    return count[0]
+    return result, count[0]
+
+
+def _iterations(monkeypatch, g, h, starts, **search):
+    """Ascent iterations of one per-call evaluation (one polar step each)."""
+    return _polar_calls(monkeypatch, sup_norm_report, g, h, starts=starts, **search)[1]
 
 
 def test_grouped_values_equal_per_call_values_bit_for_bit(monkeypatch):
@@ -740,3 +751,83 @@ def test_grouped_values_of_an_empty_stack():
     from gateselftest.channel import sup_norm_values
 
     assert sup_norm_values(np.zeros((0, 4, 4), dtype=complex)).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# ascents stopped at a ceiling
+
+
+def _grid_stack():
+    # Grid differences of a gate whose groups stop early (depolarize) and of
+    # one whose groups run to the iteration cap (amplitude_damp), with zero
+    # rows among them.
+    phis = np.arange(48) * 2.0 * math.pi / 48
+    orbit = phase_orbit(hadamard(0.0), (0,), phis)
+    quick = apply_noise(hadamard(0.7), NoiseModel("depolarize", 0.03))
+    capped = apply_noise(hadamard(0.7), NoiseModel("amplitude_damp", 0.05))
+    deltas = np.concatenate([capped.transfer - orbit, quick.transfer - orbit])
+    deltas[::13] = 0.0
+    return deltas
+
+
+@pytest.mark.parametrize("floor_kind", ["zero", "random", "grid"])
+def test_floored_values_keep_the_argmin(monkeypatch, floor_kind):
+    from gateselftest.channel import sup_norm_values
+
+    deltas = _grid_stack()
+    plain, plain_steps = _polar_calls(monkeypatch, sup_norm_values, deltas, starts=16)
+    rng = np.random.default_rng(15)
+    floor = {
+        "zero": np.zeros(len(deltas)),
+        "random": rng.uniform(0.0, 0.8 * plain.max(), len(deltas)),
+        "grid": np.roll(plain, 7),
+    }[floor_kind]
+    values, steps = _polar_calls(
+        monkeypatch, sup_norm_values, deltas, starts=16, floor=floor
+    )
+    objective = np.maximum(floor, plain)
+    least = objective.min()
+    same = values == plain
+    # Every entry is the plain value bit for bit, or it lies above the least
+    # objective value, as the plain value does.
+    assert (np.maximum(floor, values)[~same] > least).all()
+    assert (objective[~same] > least).all()
+    assert np.argmin(np.maximum(floor, values)) == np.argmin(objective)
+    assert np.maximum(floor, values).min() == least
+    assert not same.all() and steps < plain_steps
+
+
+def test_a_flat_stack_never_stops():
+    # Hadamard members against a measurement: the norm is the same at every
+    # phi, so every group ties the ceiling and none may stop.
+    from gateselftest.channel import sup_norm_values
+
+    phis = np.arange(32) * 2.0 * math.pi / 32
+    deltas = measurement(1).transfer - phase_orbit(hadamard(0.0), (0,), phis)
+    plain = sup_norm_values(deltas, starts=16)
+    floored = sup_norm_values(deltas, starts=16, floor=np.zeros(len(phis)))
+    assert floored.tolist() == plain.tolist()
+
+
+def test_report_stops_above_its_ceiling(monkeypatch):
+    g = apply_noise(hadamard(0.7), NoiseModel("amplitude_damp", 0.05))
+    h = hadamard(2.0)
+    full = sup_norm_report(g, h, starts=16)
+    for ceiling in (math.inf, full.value):
+        # No ceiling, or one the ascent only ties: the full report, bit for bit.
+        same = sup_norm_report(g, h, starts=16, ceiling=ceiling)
+        assert (same.value, same.spread, same.converged) == (
+            full.value,
+            full.spread,
+            full.converged,
+        )
+        assert (same.u == full.u).all() and (same.v == full.v).all()
+    # Stopped far below the value, and so close to it that the starts agree:
+    # either way the report is not a certificate.
+    for ceiling in (0.5 * full.value, (1.0 - 1e-6) * full.value):
+        cut = sup_norm_report(g, h, starts=16, ceiling=ceiling)
+        assert cut.value > ceiling
+        assert not cut.converged
+        stopped = _iterations(monkeypatch, g, h, 16, ceiling=ceiling)
+        assert stopped < _iterations(monkeypatch, g, h, 16)
+    assert cut.spread <= SPREAD_FLAG_TOL

@@ -151,6 +151,62 @@ def test_from_dict_rejects_a_mistyped_field(field, value):
         ExperimentalEquation.from_dict(equation_payload(field, value))
 
 
+def without(field) -> dict:
+    payload = equation_payload()
+    del payload[field]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        (equation_payload("program", "ab"), "program"),
+        (equation_payload("program", [5]), "program"),
+        (equation_payload("program", [{"var": 0, "exp": 1}]), "embed"),
+        (equation_payload("embed", "up"), "embed"),
+        (equation_payload("embed", ["whole"]), "embed"),
+        (without("r"), "r"),
+        (without("program"), "program"),
+    ],
+)
+def test_from_dict_names_a_malformed_or_missing_field(payload, field):
+    # A string program or a number step used to raise TypeError, and a
+    # missing field a bare KeyError.
+    with pytest.raises(ValueError, match=repr(field)):
+        ExperimentalEquation.from_dict(payload)
+
+
+@pytest.mark.parametrize("payload", [5, "eq", [equation_payload()], None])
+def test_from_dict_rejects_a_payload_that_is_not_an_object(payload):
+    with pytest.raises(ValueError, match="object"):
+        ExperimentalEquation.from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"equations": "abc"}, "'equations'"),
+        ({"equations": {"0": equation_payload()}}, "'equations'"),
+        ({"family": "hadamard"}, "'equations'"),
+        ({"equations": [equation_payload()], "family": 5}, "'family'"),
+        ({"equations": [equation_payload()], "family": ["hadamard"]}, "'family'"),
+        ({"equations": [5]}, "object"),
+        ([equation_payload()], "object"),
+    ],
+)
+def test_equation_set_from_dict_names_a_malformed_field(payload, message):
+    # A string list of equations used to raise TypeError, and a number
+    # family was accepted and written back.
+    with pytest.raises(ValueError, match=message):
+        EquationSet.from_dict(payload)
+
+
+def test_equation_set_family_may_be_absent_or_null():
+    equations = [equation_payload()]
+    for payload in ({"equations": equations}, {"equations": equations, "family": None}):
+        assert EquationSet.from_dict(payload).family is None
+
+
 def test_from_dict_reads_an_integer_constant_as_a_float():
     eq = ExperimentalEquation.from_dict(equation_payload("r", 1))
     assert eq.r == 1.0 and isinstance(eq.r, float)

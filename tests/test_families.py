@@ -282,6 +282,88 @@ def test_pruned_search_equals_the_full_search(monkeypatch, family, gates):
     assert dist_to_family(gates, family) == pruned
 
 
+@pytest.fixture
+def unpruned(monkeypatch):
+    """Call the returned function to make every later ``channel._ascent``
+    ignore its floor and ceiling: the reference that runs every ascent to
+    its end."""
+    from gateselftest import channel
+
+    def patch():
+        ascent = channel._ascent
+
+        def full(delta, starts, seed, floor=None, ceiling=math.inf):
+            return ascent(delta, starts, seed)
+
+        monkeypatch.setattr(channel, "_ascent", full)
+
+    return patch
+
+
+def _noisy(gates, *noise):
+    return tuple(apply_noise(g, NoiseModel(kind, s)) for g, (kind, s) in zip(gates, noise))
+
+
+_PHIS = np.random.default_rng(15).uniform(0.0, 2.0 * math.pi, 12)
+_DAMP, _DEP, _TURN = ("amplitude_damp", 0.05), ("depolarize", 0.03), ("overrotate", 0.1)
+
+
+@pytest.mark.parametrize(
+    "family, gates",
+    [
+        (Family("hadamard"), _noisy((hadamard(_PHIS[0]),), _DAMP)),
+        (Family("hadamard"), (hadamard(_PHIS[1]),)),
+        (Family("hadamard"), (measurement(1),)),
+        (
+            Family("rotation", alpha="1/3", theta=0.9),
+            _noisy((rotation_gate(-math.pi / 3.0, 0.9, _PHIS[2]),), _DEP),
+        ),
+        (
+            Family("rotation", alpha="1/3", theta=0.9),
+            _noisy((rotation_gate(math.pi / 3.0, 0.9, _PHIS[3]),), _TURN),
+        ),
+        (Family("h-not"), _noisy((hadamard(_PHIS[4]), not_gate(_PHIS[4])), _DEP, _DAMP)),
+        (Family("h-not"), _noisy((hadamard(_PHIS[5]), not_gate(_PHIS[5])), _DAMP, _TURN)),
+        (Family("h-not"), (measurement(1), not_gate(_PHIS[6]))),
+        (
+            Family("h-phase", alpha="1/4"),
+            _noisy((hadamard(_PHIS[7]), phase_gate(-math.pi / 4.0)), _DAMP, _DEP),
+        ),
+        (Family("h-phase", alpha="1/4"), (hadamard(_PHIS[8]), phase_gate(math.pi / 4.0))),
+        (Family("h-cnot"), _noisy((hadamard(_PHIS[9]), cnot(_PHIS[9])), _DAMP, _DEP)),
+        (
+            Family("h-phase-cnot"),
+            _noisy(
+                (hadamard(_PHIS[10]), phase_gate(-math.pi / 4.0), cnot(_PHIS[10])),
+                _DEP,
+                _TURN,
+                _DAMP,
+            ),
+        ),
+    ],
+    ids=[
+        "hadamard-damped",
+        "hadamard-exact",
+        "hadamard-flat",
+        "rotation-minus",
+        "rotation-plus",
+        "h-not-damped-not",
+        "h-not-damped-h",
+        "h-not-flat",
+        "h-phase-minus",
+        "h-phase-exact",
+        "h-cnot",
+        "h-phase-cnot-minus",
+    ],
+)
+def test_stopped_ascents_leave_the_fit_unchanged(unpruned, family, gates):
+    # Grid ascents that stop once they cannot be the argmin give the fit of
+    # the search that runs every ascent to its end.
+    stopped = dist_to_family(gates, family)
+    unpruned()
+    assert dist_to_family(gates, family) == stopped
+
+
 @pytest.mark.parametrize(
     "family, gates",
     [

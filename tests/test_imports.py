@@ -1,7 +1,9 @@
 """No module of the package imports a name it never uses, defines a
 private module-level name it never reads, or patches a value after building
-it by assigning to an attribute of anything but ``self``; and only
-``qstate.py`` calls ``np.linalg.svd``, behind its one ``NumericsError`` guard.
+it by assigning to an attribute of anything but ``self``; only
+``qstate.py`` calls ``np.linalg.svd``, behind its one ``NumericsError`` guard;
+and only ``channel._ascent`` reads ``ASCENT_MAX_ITER``, so the norm ascent
+has one loop and one stopping rule.
 
 The first two guards leave ``__init__.py`` out: its imports are the
 package's public names.
@@ -165,4 +167,57 @@ def test_guard_sees_an_svd_call():
         "line 2: from numpy.linalg import svd",
         "line 3: np.linalg.svd",
         "line 4: np.linalg.svd",
+    ]
+
+
+CAP = "ASCENT_MAX_ITER"
+
+
+def cap_readers(source: str) -> list[str]:
+    """Reads of ``ASCENT_MAX_ITER``, by name or as an attribute, each with the
+    dotted name of the function it sits in (``<module>`` outside any)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load):
+                if getattr(child, "id", None) == CAP or getattr(child, "attr", None) == CAP:
+                    found.append((child.lineno, owner))
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if owner == "<module>" else f"{owner}.{child.name}"
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return [f"line {line}: {owner}" for line, owner in sorted(found)]
+
+
+def test_only_the_ascent_reads_the_iteration_cap():
+    readers = [
+        f"{path.name}: {found.split(': ', 1)[1]}"
+        for path in SOURCES
+        for found in cap_readers(path.read_text())
+    ]
+    assert readers == ["channel.py: _ascent"]
+
+
+def test_guard_sees_every_read_of_the_iteration_cap():
+    source = (
+        "ASCENT_MAX_ITER = 200\n"
+        "LIMIT = ASCENT_MAX_ITER\n"
+        "def _ascent():\n"
+        "    for _ in range(ASCENT_MAX_ITER):\n"
+        "        pass\n"
+        "class Search:\n"
+        "    def run(self):\n"
+        "        def step():\n"
+        "            return channel.ASCENT_MAX_ITER\n"
+        "        return step\n"
+        "def other(ASCENT_MAX_ITER=1):\n"
+        "    return 'ASCENT_MAX_ITER'\n"
+    )
+    assert cap_readers(source) == [
+        "line 2: <module>",
+        "line 4: _ascent",
+        "line 9: Search.run.step",
     ]
