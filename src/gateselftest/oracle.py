@@ -8,7 +8,11 @@ sees single bits and empirical means.
 
 Randomness: numpy PCG64 generators keyed by (oracle seed, equation content
 hash), so the streams of different equations are disjoint and independent of
-the order in which equations are queried.
+the order in which equations are queried.  A run fires iff its uniform draw
+is below p, and a draw is k 2^-53 with 0 <= k < 2^53: an outcome that is
+certain (p exactly 0 or 1) fixes every bit, so it draws nothing, and the
+streams serve only equations with 0 < p < 1.  Since p is fixed per equation,
+every estimate is the same as if the certain runs had drawn.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ def _equation_key(eq: ExperimentalEquation) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class Oracle:
     """Black-box sampling access to a hidden tuple of CP, TP gates."""
 
@@ -45,7 +53,7 @@ class Oracle:
                     f"gate {i} is not a valid quantum operation "
                     f"(cp={g.is_cp}, tp={g.is_tp})"
                 )
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        if not _is_integer(seed) or seed < 0:
             raise ValueError(f"oracle seed must be an integer >= 0, got {seed!r}")
         self.gates = gates
         self.seed = int(seed)
@@ -59,8 +67,8 @@ class Oracle:
 
     def estimate(self, eq: ExperimentalEquation, samples: int) -> float:
         """Empirical outcome frequency over the given number of fresh runs."""
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
+        if not _is_integer(samples) or samples < 1:
+            raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
         key = _equation_key(eq)
         if key not in self._experiments:
             self._experiments[key] = (
@@ -68,9 +76,11 @@ class Oracle:
                 np.random.Generator(np.random.PCG64((self.seed, key))),
             )
         p, stream = self._experiments[key]
-        hits = 0
-        for start in range(0, samples, ESTIMATE_CHUNK):
-            draws = stream.random(min(ESTIMATE_CHUNK, samples - start))
+        # The runs of a certain outcome (p is 0.0 or 1.0) need no draw.
+        drawn = samples if 0.0 < p < 1.0 else 0
+        hits = (samples - drawn) * p
+        for start in range(0, drawn, ESTIMATE_CHUNK):
+            draws = stream.random(min(ESTIMATE_CHUNK, drawn - start))
             hits += int(np.count_nonzero(draws < p))
         self.query_count += samples
         return float(hits) / samples

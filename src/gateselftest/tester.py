@@ -37,12 +37,25 @@ def plan_samples(d: int, eps: float) -> TesterPlan:
     Two-sided Hoeffding: 2 exp(-2 n (eps/6)^2) <= 1/(3 d) needs
     n >= 18 ln(6 d) / eps^2, so each estimate is within eps/6 of its mean
     except with probability 1/(3 d); a union bound leaves 2/3 overall.
+
+    A plan above ``MAX_TOTAL_QUERIES`` raises ``ValueError`` naming the least
+    eps within it, also when eps is so small that the count overflows a float.
     """
     if d < 1:
         raise ValueError(f"need at least one equation, got d={d}")
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    per = math.ceil(18.0 * math.log(6.0 * d) / (eps * eps))
+    square = eps * eps
+    per = 18.0 * math.log(6.0 * d) / square if square else math.inf
+    # d * ceil(per) > MAX exactly when per > MAX // d.
+    if per > MAX_TOTAL_QUERIES // d:
+        needs = d * math.ceil(per) if per < math.inf else "more than 1e308"
+        required = math.sqrt(18.0 * math.log(6.0 * d) * d / MAX_TOTAL_QUERIES)
+        raise ValueError(
+            f"plan needs {needs} queries, above the "
+            f"{MAX_TOTAL_QUERIES} budget; use eps >= {required:.6g}"
+        )
+    per = math.ceil(per)
     return TesterPlan(eps=eps, d=d, per_eq_samples=per, total_queries=d * per)
 
 
@@ -136,14 +149,6 @@ def run_tester(
     if delta is not None and not 0.0 <= float(delta) < math.inf:
         raise ValueError(f"delta must be a finite radius >= 0, got {delta}")
     plan = plan_samples(eqset.d, eps)
-    if plan.total_queries > MAX_TOTAL_QUERIES:
-        required = math.sqrt(
-            18.0 * math.log(6.0 * eqset.d) * eqset.d / MAX_TOTAL_QUERIES
-        )
-        raise ValueError(
-            f"plan needs {plan.total_queries} queries, above the "
-            f"{MAX_TOTAL_QUERIES} budget; use eps >= {required:.6g}"
-        )
     if len(oracle.gates) != eqset.arity:
         raise ValueError(
             f"oracle holds {len(oracle.gates)} gates, equations need {eqset.arity}"

@@ -219,6 +219,21 @@ def test_selftest_rejects_a_delta_that_is_not_a_finite_radius(capsys, gate_file,
     assert err.startswith("error: delta must be") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("eps", ["1e-300", "1e-155", "1e-4"])
+def test_selftest_refuses_an_eps_above_the_query_budget(capsys, gate_file, eps):
+    # eps * eps underflows to 0 at 1e-300, and the plan's float count
+    # overflows at 1e-155: both are the same budget refusal as 1e-4
+    path = gate_file("h.json", {"kind": "hadamard", "params": {"phi": 0.0}})
+    code, out, err = run_cli(
+        capsys, "selftest", "--family", "hadamard", "--gate", path,
+        "--eps", eps, "--seed", "5",
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: plan needs ") and err.count("\n") == 1
+    assert "above the 1000000000 budget; use eps >= " in err
+
+
 @pytest.mark.parametrize(
     "command, option",
     [

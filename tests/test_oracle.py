@@ -9,7 +9,9 @@ from gateselftest import (
     hadamard,
     identity,
     measurement,
+    member_gates,
     not_gate,
+    probability_term,
     transpose_map,
 )
 from gateselftest import oracle as oracle_module
@@ -53,6 +55,63 @@ def test_estimate_needs_positive_samples():
     oracle = Oracle(hadamard(0.0), seed=3)
     with pytest.raises(ValueError):
         oracle.estimate(EQ_HALF, 0)
+
+
+@pytest.mark.parametrize("samples", [2.5, 3.0, True, "3", None])
+@pytest.mark.parametrize("eq", [EQ_HALF, EQ_ONE], ids=["uncertain", "certain"])
+def test_estimate_needs_an_integer_sample_count(eq, samples):
+    oracle = Oracle(hadamard(0.0), seed=3)
+    with pytest.raises(ValueError, match="samples"):
+        oracle.estimate(eq, samples)
+    assert oracle.query_count == 0
+
+
+def test_estimate_accepts_numpy_integers():
+    a = Oracle(hadamard(0.0), seed=3)
+    b = Oracle(hadamard(0.0), seed=3)
+    assert a.estimate(EQ_HALF, np.int64(500)) == b.estimate(EQ_HALF, 500)
+    assert a.estimate(EQ_ONE, np.uint32(7)) == 1.0
+    assert a.query_count == 507
+
+
+@pytest.mark.parametrize("eq", [EQ_ONE, EQ_ZERO], ids=["one", "zero"])
+def test_certain_outcomes_draw_nothing(eq):
+    seed = 4
+    oracle = Oracle(hadamard(0.0), seed=seed)
+    estimates = [oracle.estimate(eq, n) for n in (1, 500, oracle_module.ESTIMATE_CHUNK + 3)]
+    assert estimates == [eq.r] * 3
+    assert oracle.query_count == 1 + 500 + oracle_module.ESTIMATE_CHUNK + 3
+    key = oracle_module._equation_key(eq)
+    _, stream = oracle._experiments[key]
+    assert stream.bit_generator.state == np.random.PCG64((seed, key)).state
+
+
+def _reference_estimate(stream, p, samples, chunk=2**16):
+    # Every run draws a uniform, certain outcomes too: the estimate as drawn
+    # before certain outcomes stopped drawing.
+    hits = 0
+    for start in range(0, samples, chunk):
+        hits += int(np.count_nonzero(stream.random(min(chunk, samples - start)) < p))
+    return hits / samples
+
+
+def test_estimates_equal_drawing_every_run():
+    # An exact h-phase-cnot member has certain and uncertain equations; each
+    # estimate must be the one a stream that draws for every run gives.
+    seed = 900
+    gates = member_gates(Family("h-phase-cnot"), 2.1, sign=-1)
+    eqset = family_equations(Family("h-phase-cnot"))
+    oracle = Oracle(gates, seed=seed)
+    certain = 0
+    for eq in eqset.equations:
+        p = probability_term(eq, gates)
+        certain += p in (0.0, 1.0)
+        key = oracle_module._equation_key(eq)
+        reference = np.random.Generator(np.random.PCG64((seed, key)))
+        for samples in (1, 2**16 + 5, 3):
+            expected = _reference_estimate(reference, p, samples)
+            assert oracle.estimate(eq, samples) == expected
+    assert 0 < certain < eqset.d
 
 
 def test_deterministic_outcomes_for_certain_equations():

@@ -166,6 +166,26 @@ def test_query_budget_refusal():
     assert "eps" in str(err.value)
 
 
+@pytest.mark.parametrize("eps", [1e-300, 1e-155])
+def test_plan_refuses_an_eps_whose_count_overflows(eps):
+    # eps * eps underflows to 0 (1e-300) or the float count to inf (1e-155);
+    # the plan is over the budget all the same
+    with pytest.raises(ValueError, match=f"above the {MAX_TOTAL_QUERIES} budget"):
+        plan_samples(16, eps)
+
+
+def test_plan_refuses_exactly_the_plans_above_the_budget():
+    d = 16
+    required = math.sqrt(18.0 * math.log(6.0 * d) * d / MAX_TOTAL_QUERIES)
+    for eps in np.linspace(0.999 * required, 1.001 * required, 201):
+        per = math.ceil(18.0 * math.log(6.0 * d) / (eps * eps))
+        if d * per > MAX_TOTAL_QUERIES:
+            with pytest.raises(ValueError, match=f"plan needs {d * per} queries"):
+                plan_samples(d, eps)
+        else:
+            assert plan_samples(d, eps).total_queries == d * per
+
+
 def test_budget_refusal_threshold_is_tight():
     # the suggested eps from the refusal message must itself be feasible
     d = HSET.d
