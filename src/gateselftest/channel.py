@@ -20,6 +20,7 @@ searches over.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -380,7 +381,9 @@ class SupNormResult:
     v: np.ndarray | None = None
 
 
+@functools.lru_cache(maxsize=32)
 def _ascent_starts(dim: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The basis pairs and ``count`` seeded random unit pairs, built once per key, read-only."""
     rng = np.random.default_rng((0x5EED, seed, dim, count))
     us = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
     vs = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
@@ -391,10 +394,15 @@ def _ascent_starts(dim: int, count: int, seed: int) -> tuple[np.ndarray, np.ndar
     v = np.concatenate([fixed_v, vs])
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
+    u.setflags(write=False)
+    v.setflags(write=False)
     return u, v
 
 
 def _trace_norm_batch(m: np.ndarray) -> np.ndarray:
+    """Trace norms of a stack of matrices: by ``_two_by_two`` on 2 x 2, else by the SVD."""
+    if m.shape[-1] == 2:
+        return _two_by_two(m)[0]
     return svd(m, compute_uv=False).sum(axis=-1)
 
 
@@ -411,21 +419,30 @@ _ADJ_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 _EYE2 = np.eye(2).reshape(4)
 
 
+def _two_by_two(m: np.ndarray):
+    """Trace norms, row-major entries, determinants and |det| of a stack of 2 x 2 matrices.
+
+    A 2 x 2 matrix M has ``||M||_1 = sqrt(||M||_F^2 + 2 |det M|)``: its singular
+    values s1, s2 have ``s1^2 + s2^2 = ||M||_F^2`` and ``s1 s2 = |det M|``.
+    """
+    f = np.ascontiguousarray(m).reshape(*m.shape[:-2], 4)
+    det = f[..., 0] * f[..., 3] - f[..., 1] * f[..., 2]
+    mag = np.abs(det)
+    parts = f.view(float)
+    return np.sqrt(np.einsum("...k,...k->...", parts, parts) + 2.0 * mag), f, det, mag
+
+
 def _polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trace norms and unitary polar factors W (W^dagger m >= 0) of a stack of matrices.
 
-    A 2 x 2 matrix M has ``||M||_1 = t = sqrt(||M||_F^2 + 2 |det M|)`` and polar
-    factor ``(M + e^{i arg det M} adj(M)^dagger) / t``; any phase works when
+    A 2 x 2 matrix M with trace norm t (``_two_by_two``) has polar factor
+    ``(M + e^{i arg det M} adj(M)^dagger) / t``; any phase works when
     det M = 0, and M = 0 gets the identity.  Larger matrices use the SVD.
     """
     if m.shape[-1] != 2:
         uu, sing, vh = svd(m)
         return sing.sum(axis=-1), uu @ vh
-    f = np.ascontiguousarray(m).reshape(*m.shape[:-2], 4)
-    det = f[..., 0] * f[..., 3] - f[..., 1] * f[..., 2]
-    mag = np.abs(det)
-    parts = f.view(float)
-    t = np.sqrt(np.einsum("...k,...k->...", parts, parts) + 2.0 * mag)
+    t, f, det, mag = _two_by_two(m)
     singular = mag == 0.0
     phase = (det + singular) / (mag + singular)
     w = f + phase[..., None] * (f[..., ::-1].conj() * _ADJ_SIGNS)
@@ -612,7 +629,7 @@ def rank_one_sample_max(
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         m = np.einsum("klij,bi,bj->bkl", delta4, u, v.conj(), optimize=True)
-        best = max(best, float(_trace_norm_batch(m).max()))
+        best = max(best, float(svd(m, compute_uv=False).sum(axis=-1).max()))
     return best
 
 

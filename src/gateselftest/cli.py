@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -31,6 +32,11 @@ EXIT_NUMERIC = 3
 # Most noise strengths one scan takes: every point is a full family-distance
 # search, and a count beyond this would only allocate a grid that never finishes.
 MAX_SCAN_POINTS = 10_000
+# What --grid takes: its help, and the error a malformed grid gives.
+_GRID_FORMS = (
+    "a comma list, 'lo:hi:n' (linear) or 'geom:lo:hi:n' (geometric), "
+    "with finite ends, both > 0 for geom"
+)
 
 
 def _family_from_args(args) -> Family:
@@ -93,16 +99,24 @@ def _check_scan_points(count: int) -> None:
 def _parse_grid(text: str):
     """Noise strengths from a comma list, 'lo:hi:n' or 'geom:lo:hi:n'.
 
-    The point count is checked before any array is built.
+    The shape, the ends and the point count are checked before any array is
+    built, so a malformed grid gives one error, which says what --grid takes.
     """
-    if ":" in text:
-        spacing = np.geomspace if text.startswith("geom:") else np.linspace
+    if ":" not in text:
+        grid = [float(tok) for tok in text.split(",") if tok.strip()]
+        _check_scan_points(len(grid))
+        return grid
+    malformed = f"--grid takes {_GRID_FORMS}; got {text!r}"
+    geom = text.startswith("geom:")
+    try:
         lo, hi, count = text.removeprefix("geom:").split(":")
-        _check_scan_points(int(count))
-        return spacing(float(lo), float(hi), int(count)).tolist()
-    grid = [float(tok) for tok in text.split(",") if tok.strip()]
-    _check_scan_points(len(grid))
-    return grid
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise ValueError(malformed) from None
+    if not (math.isfinite(lo) and math.isfinite(hi)) or (geom and min(lo, hi) <= 0.0):
+        raise ValueError(malformed)
+    _check_scan_points(count)
+    return (np.geomspace if geom else np.linspace)(lo, hi, count).tolist()
 
 
 def _cmd_equations(args) -> int:
@@ -208,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--grid",
         required=True,
-        help="comma list, 'lo:hi:n' (linear) or 'geom:lo:hi:n' (geometric)",
+        help=_GRID_FORMS,
     )
     scan.add_argument("--gate", action="append", help="optional base gate spec files")
     scan.add_argument("--opt-seed", type=_seed, default=0)

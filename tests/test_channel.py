@@ -676,6 +676,34 @@ def test_closed_form_polar_factor_of_zero_is_finite():
     assert np.abs(w.conj().transpose(0, 2, 1) @ w - np.eye(2)).max() <= 1e-14
 
 
+def test_closed_form_trace_norm_matches_svd_within_four_ulps():
+    # The ascent's exit values on 2 x 2 images: the closed form that its polar
+    # steps use, not an SVD.
+    from gateselftest.channel import _polar, _trace_norm_batch, _two_by_two
+
+    stack = np.stack([m for _, m in _two_by_two_cases()] + [np.zeros((2, 2), complex)])
+    norms = _trace_norm_batch(stack)
+    assert norms.tolist() == _two_by_two(stack)[0].tolist() == _polar(stack)[0].tolist()
+    reference = np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+    assert (np.abs(norms - reference) <= 4 * np.spacing(reference)).all()
+    assert norms[-1] == 0.0
+
+
+def test_ascent_starts_are_built_once_per_key_and_read_only():
+    from gateselftest.channel import _ascent_starts
+
+    assert _ascent_starts.cache_info().maxsize is not None
+    for key in [(2, 16, 0), (4, 64, 7)]:
+        u, v = _ascent_starts(*key)
+        again = _ascent_starts(*key)
+        assert again[0] is u and again[1] is v
+        assert not u.flags.writeable and not v.flags.writeable
+        built = _ascent_starts.__wrapped__(*key)
+        assert np.array_equal(built[0], u) and np.array_equal(built[1], v)
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+
+
 def _polar_calls(monkeypatch, fn, *args, **kwargs):
     """fn's result and the number of polar steps (ascent iterations) it made."""
     from gateselftest import channel

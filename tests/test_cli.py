@@ -356,6 +356,44 @@ def test_scan_grid_out_of_range_is_usage_error(capsys, grid):
     assert err.startswith("error: a scan grid takes 1 to ")
 
 
+def assert_grid_error(grid, err):
+    assert err.startswith("error: --grid takes a comma list, 'lo:hi:n' ")
+    assert err.endswith(f"; got {grid!r}\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "grid",
+    ["geom:0:0.1:3", "1:2:3:4", "geom:1:2", "0.1:0.2", "0.1:0.2:x"],
+    ids=["geom-zero-end", "four-fields", "geom-two-fields", "two-fields", "count-not-integer"],
+)
+def test_malformed_scan_grid_names_what_grid_takes(capsys, grid):
+    code, out, err = run_cli(
+        capsys, "scan", "--family", "hadamard", "--noise", "depolarize", "--grid", grid
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert_grid_error(grid, err)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    ["geom:-0.1:0.1:3", "geom:0.01:-0.1:2", "geom:inf:1:2", "0:inf:3"],
+    ids=["geom-negative-lo", "geom-negative-hi", "geom-infinite-end", "linear-infinite-end"],
+)
+def test_scan_grid_with_bad_ends_prints_only_the_error(grid):
+    # A fresh interpreter, so that numpy's warnings would reach stderr.
+    result = subprocess.run(
+        [sys.executable, "-m", "gateselftest.cli", "scan", "--family", "hadamard",
+         "--noise", "depolarize", "--grid", grid],
+        capture_output=True,
+        text=True,
+        env=fresh_env(),
+    )
+    assert result.returncode == EXIT_USAGE
+    assert result.stdout == ""
+    assert_grid_error(grid, result.stderr)
+
+
 # ---------------------------------------------------------------------------
 # distance
 

@@ -2,8 +2,10 @@
 private module-level name it never reads, or patches a value after building
 it by assigning to an attribute of anything but ``self``; only
 ``qstate.py`` calls ``np.linalg.svd``, behind its one ``NumericsError`` guard;
-and only ``channel._ascent`` reads ``ASCENT_MAX_ITER``, so the norm ascent
-has one loop and one stopping rule.
+only ``channel._ascent`` reads ``ASCENT_MAX_ITER``, so the norm ascent
+has one loop and one stopping rule; and ``channel.rank_one_sample_max``
+takes its norms from the SVD and calls none of the ascent's private helpers,
+so it stays an independent cross-check.
 
 The first two guards leave ``__init__.py`` out: its imports are the
 package's public names.
@@ -221,3 +223,45 @@ def test_guard_sees_every_read_of_the_iteration_cap():
         "line 4: _ascent",
         "line 9: Search.run.step",
     ]
+
+
+CROSS_CHECK = "rank_one_sample_max"
+
+
+def cross_check_calls(source: str) -> list[str]:
+    """The calls of ``svd`` and of the module's private functions (the closed
+    form and ``_polar`` among them) inside ``rank_one_sample_max``."""
+    tree = ast.parse(source)
+    private = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    }
+    [check] = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == CROSS_CHECK
+    ]
+    called = {ast.unparse(node.func) for node in ast.walk(check) if isinstance(node, ast.Call)}
+    return sorted(name for name in called if name == "svd" or name in private)
+
+
+def test_the_sampling_cross_check_takes_its_norms_from_the_svd_alone():
+    assert cross_check_calls((PACKAGE / "channel.py").read_text()) == ["svd"]
+
+
+def test_guard_sees_the_cross_check_share_the_ascent_helpers():
+    source = (
+        "def _polar(m):\n"
+        "    return m\n"
+        "def _two_by_two(m):\n"
+        "    return m\n"
+        "def _unused(m):\n"
+        "    return m\n"
+        "def rank_one_sample_max(m):\n"
+        "    a = svd(m, compute_uv=False).sum()\n"
+        "    b = _polar(m)[0]\n"
+        "    c = _two_by_two(m)[0]\n"
+        "    return max(a, b, c, np.linalg.norm(m))\n"
+    )
+    assert cross_check_calls(source) == ["_polar", "_two_by_two", "svd"]
+    closed_form_only = source.replace("svd(m, compute_uv=False).sum()", "0.0")
+    assert cross_check_calls(closed_form_only) == ["_polar", "_two_by_two"]
