@@ -37,8 +37,11 @@ CHOI_CLOSE_TOL = 1e-10
 SPREAD_FLAG_TOL = 1e-4
 # The norm ascent stops after ASCENT_MAX_ITER iterations, or once no start's
 # value moved by more than ASCENT_TOL * max(1, best value) in one iteration;
-# ASCENT_TOL is also its margin above a ceiling (see _ascent).
+# ASCENT_TOL is also its margin above a ceiling (see _ascent).  On 4 x 4
+# images it also stops once its best value has risen by less than that in
+# each of ASCENT_STILL_ITER iterations in a row (see _ascent).
 ASCENT_MAX_ITER = 200
+ASCENT_STILL_ITER = 20
 ASCENT_TOL = 1e-13
 # rank_one_sample_max draws its rank-one operators in chunks of this many.
 SAMPLE_CHUNK = 4096
@@ -475,6 +478,18 @@ def _ascent(delta: np.ndarray, starts: int, seed: int, floor=None, ceiling: floa
     iteration, and leaves the stack; the others run on unchanged, so a
     group's result does not depend on what it is stacked with.
 
+    On 4 x 4 images (2-qubit differences) a group also finishes once its
+    best value has risen by less than ``ASCENT_TOL * max(1, best)`` in each
+    of ASCENT_STILL_ITER iterations in a row, provided its best and
+    90th-percentile start values then agree within SPREAD_FLAG_TOL: starts
+    still climbing far below the best no longer hold it on the stack until
+    the cap, and a report that the full ascent would call converged still
+    is.  It leaves like any other group, so its values are exact
+    evaluations.  Fewer still iterations would be unsafe: a best value can
+    sit still for an iteration at a saddle and then rise.  2 x 2 images keep
+    the all-starts test alone; a 1-qubit group is cheap, and an exact upper
+    bound could stop it without a heuristic.
+
     A group also stops once its running best, maxed with its ``floor`` entry
     (0 without a floor), exceeds ``ceiling`` by more than
     ``ASCENT_TOL * max(1, ceiling)``; it reports its values where it stopped.
@@ -493,6 +508,7 @@ def _ascent(delta: np.ndarray, starts: int, seed: int, floor=None, ceiling: floa
     run, live = np.arange(g), delta
     lows = np.zeros(g) if floor is None else np.asarray(floor, dtype=float)
     vals = np.zeros((g, b))
+    still = np.zeros(g, dtype=int) if d > 2 else None
 
     def leave(rows):
         vals_out[run[rows]] = _trace_norm_batch(_images(live[rows], u[rows], v[rows]))
@@ -504,7 +520,15 @@ def _ascent(delta: np.ndarray, starts: int, seed: int, floor=None, ceiling: floa
         u = _unit_rows((dd @ v.conj()[..., None])[..., 0].conj(), u)
         v = _unit_rows((u[..., None, :] @ dd)[..., 0, :], v)
         best = new_vals.max(axis=1)
-        done = np.abs(new_vals - vals).max(axis=1) < ASCENT_TOL * np.maximum(1.0, best)
+        tol = ASCENT_TOL * np.maximum(1.0, best)
+        done = np.abs(new_vals - vals).max(axis=1) < tol
+        if still is not None:
+            still = np.where(best - vals.max(axis=1) < tol, still + 1, 0)
+            settled = still >= ASCENT_STILL_ITER
+            if settled.any():
+                spread = best[settled] - np.quantile(new_vals[settled], 0.9, axis=1)
+                settled[settled] = spread <= SPREAD_FLAG_TOL
+                done |= settled
         vals = new_vals
         if done.any():
             leave(done)
@@ -519,6 +543,8 @@ def _ascent(delta: np.ndarray, starts: int, seed: int, floor=None, ceiling: floa
         if done.any():
             keep = ~done
             run, live, u, v, vals = run[keep], live[keep], u[keep], v[keep], vals[keep]
+            if still is not None:
+                still = still[keep]
             if not run.size:
                 break
     else:

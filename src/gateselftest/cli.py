@@ -102,11 +102,14 @@ def _parse_grid(text: str):
     The shape, the ends and the point count are checked before any array is
     built, so a malformed grid gives one error, which says what --grid takes.
     """
+    malformed = f"--grid takes {_GRID_FORMS}; got {text!r}"
     if ":" not in text:
-        grid = [float(tok) for tok in text.split(",") if tok.strip()]
+        try:
+            grid = [float(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise ValueError(malformed) from None
         _check_scan_points(len(grid))
         return grid
-    malformed = f"--grid takes {_GRID_FORMS}; got {text!r}"
     geom = text.startswith("geom:")
     try:
         lo, hi, count = text.removeprefix("geom:").split(":")

@@ -747,6 +747,37 @@ def test_grouped_values_equal_per_call_values_bit_for_bit(monkeypatch):
         assert sup_norm_values(deltas, starts=starts, seed=seed).tolist() == per_call, block
 
 
+def test_a_two_qubit_ascent_stops_once_its_best_value_is_still(monkeypatch):
+    # A depolarised CNOT against a member near its phi (a bench check's
+    # search step): starts far below the best are still climbing at the cap,
+    # while the best value settled long before.
+    from gateselftest import channel
+    from gateselftest.channel import ASCENT_MAX_ITER
+
+    phi, lam = 0.2948151930016114, 0.04951068206585504
+    g = apply_noise(cnot(phi), NoiseModel("depolarize", lam))
+    h = cnot(phi + 0.01)
+    stopped = _iterations(monkeypatch, g, h, 16)
+    value = sup_norm_report(g, h, starts=16).value
+    monkeypatch.setattr(channel, "ASCENT_STILL_ITER", ASCENT_MAX_ITER + 1)
+    assert _iterations(monkeypatch, g, h, 16) == ASCENT_MAX_ITER
+    assert stopped < ASCENT_MAX_ITER
+    assert abs(value - sup_norm_report(g, h, starts=16).value) <= 1e-12
+
+
+def test_a_still_stop_waits_for_the_best_starts_to_agree(monkeypatch):
+    # CNOT against the 2-qubit measurement: the best value is still long
+    # before the top decile of starts comes within SPREAD_FLAG_TOL of it.  The
+    # group waits for them, so the report is converged, as the full ascent's is.
+    from gateselftest.channel import ASCENT_MAX_ITER
+
+    g, h = cnot(0.2), measurement(2)
+    assert _iterations(monkeypatch, g, h, 64) < ASCENT_MAX_ITER
+    report = sup_norm_report(g, h)
+    assert report.converged and report.spread <= SPREAD_FLAG_TOL
+    assert abs(report.value - 2.0) <= 1e-12
+
+
 @pytest.mark.parametrize("block", [16, 5, 1])
 def test_grid_block_bounds_every_ascent_stack(monkeypatch, block):
     # The stack's peak memory is bounded by GRID_BLOCK rows per ascent, and

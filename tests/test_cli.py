@@ -323,6 +323,18 @@ def test_scan_geometric_grid_to_file(tmp_path, capsys):
     assert len(data.decode().splitlines()) == 4
 
 
+@pytest.mark.parametrize("kind", ["depolarize", "overrotate", "phase_drift", "amplitude_damp"])
+def test_scan_matches_golden_bytes(capsys, gate_file, kind):
+    # pins every digit of the 1-qubit distance path, not just its shape
+    base = gate_file("base.json", {"kind": "hadamard", "params": {"phi": 0.9}})
+    code, out, _ = run_cli(
+        capsys, "scan", "--family", "hadamard", "--noise", kind,
+        "--grid", "geom:0.02:0.08:2", "--gate", base,
+    )
+    assert code == EXIT_PASS
+    assert out.encode() == (GOLDEN / f"scan-hadamard-{kind}.csv").read_bytes()
+
+
 def test_parse_grid_forms():
     assert _parse_grid("0.1,0.2,0.5") == [0.1, 0.2, 0.5]
     lin = _parse_grid("0:1:5")
@@ -363,8 +375,11 @@ def assert_grid_error(grid, err):
 
 @pytest.mark.parametrize(
     "grid",
-    ["geom:0:0.1:3", "1:2:3:4", "geom:1:2", "0.1:0.2", "0.1:0.2:x"],
-    ids=["geom-zero-end", "four-fields", "geom-two-fields", "two-fields", "count-not-integer"],
+    ["geom:0:0.1:3", "1:2:3:4", "geom:1:2", "0.1:0.2", "0.1:0.2:x", "0.1,abc"],
+    ids=[
+        "geom-zero-end", "four-fields", "geom-two-fields", "two-fields", "count-not-integer",
+        "list-token-not-number",
+    ],
 )
 def test_malformed_scan_grid_names_what_grid_takes(capsys, grid):
     code, out, err = run_cli(

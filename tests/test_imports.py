@@ -2,9 +2,9 @@
 private module-level name it never reads, or patches a value after building
 it by assigning to an attribute of anything but ``self``; only
 ``qstate.py`` calls ``np.linalg.svd``, behind its one ``NumericsError`` guard;
-only ``channel._ascent`` reads ``ASCENT_MAX_ITER``, so the norm ascent
-has one loop and one stopping rule; and ``channel.rank_one_sample_max``
-takes its norms from the SVD and calls none of the ascent's private helpers,
+only ``channel._ascent`` reads ``ASCENT_MAX_ITER`` and ``ASCENT_STILL_ITER``,
+so the norm ascent has one loop and one set of stopping rules; and
+``channel.rank_one_sample_max`` takes its norms from the SVD and calls none of the ascent's private helpers,
 so it stays an independent cross-check.
 
 The first two guards leave ``__init__.py`` out: its imports are the
@@ -173,17 +173,18 @@ def test_guard_sees_an_svd_call():
 
 
 CAP = "ASCENT_MAX_ITER"
+STILL = "ASCENT_STILL_ITER"
 
 
-def cap_readers(source: str) -> list[str]:
-    """Reads of ``ASCENT_MAX_ITER``, by name or as an attribute, each with the
-    dotted name of the function it sits in (``<module>`` outside any)."""
+def constant_readers(source: str, name: str) -> list[str]:
+    """Reads of the constant ``name``, by name or as an attribute, each with
+    the dotted name of the function it sits in (``<module>`` outside any)."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load):
-                if getattr(child, "id", None) == CAP or getattr(child, "attr", None) == CAP:
+                if getattr(child, "id", None) == name or getattr(child, "attr", None) == name:
                     found.append((child.lineno, owner))
             inner = owner
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -194,13 +195,20 @@ def cap_readers(source: str) -> list[str]:
     return [f"line {line}: {owner}" for line, owner in sorted(found)]
 
 
-def test_only_the_ascent_reads_the_iteration_cap():
-    readers = [
+def package_readers(name: str) -> list[str]:
+    return [
         f"{path.name}: {found.split(': ', 1)[1]}"
         for path in SOURCES
-        for found in cap_readers(path.read_text())
+        for found in constant_readers(path.read_text(), name)
     ]
-    assert readers == ["channel.py: _ascent"]
+
+
+def test_only_the_ascent_reads_the_iteration_cap():
+    assert package_readers(CAP) == ["channel.py: _ascent"]
+
+
+def test_only_the_ascent_reads_the_still_count():
+    assert package_readers(STILL) == ["channel.py: _ascent"]
 
 
 def test_guard_sees_every_read_of_the_iteration_cap():
@@ -218,11 +226,11 @@ def test_guard_sees_every_read_of_the_iteration_cap():
         "def other(ASCENT_MAX_ITER=1):\n"
         "    return 'ASCENT_MAX_ITER'\n"
     )
-    assert cap_readers(source) == [
-        "line 2: <module>",
-        "line 4: _ascent",
-        "line 9: Search.run.step",
-    ]
+    expected = ["line 2: <module>", "line 4: _ascent", "line 9: Search.run.step"]
+    assert constant_readers(source, CAP) == expected
+    # The same reads of the still count, and no read of one for the other.
+    assert constant_readers(source.replace(CAP, STILL), STILL) == expected
+    assert constant_readers(source, STILL) == []
 
 
 CROSS_CHECK = "rank_one_sample_max"
